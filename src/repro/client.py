@@ -26,9 +26,9 @@ for everything else.
 
 from __future__ import annotations
 
+import secrets
 import socket
 import time
-import uuid
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.spans import SpanSink
@@ -107,8 +107,11 @@ class Client:
         #: span and sends its context on the wire.
         self.span_sink = span_sink
         #: The ``trace_id`` the server echoed in the most recent
-        #: response (client-supplied or server-generated) -- the handle
-        #: for correlating this request with the server's trace events.
+        #: response -- the trace ``repro trace`` shows for that request,
+        #: and the id stamped on its engine trace events.  Only a
+        #: request that ran under a span (a sampled ``span_ctx``, this
+        #: client's :attr:`span_sink`, or a server-rooted trace) echoes
+        #: one; it is ``None`` after an untraced response.
         self.last_trace_id: str | None = None
         #: The WAL ``lsn`` of this connection's most recent acknowledged
         #: mutation (0 before the first one) -- the watermark
@@ -135,22 +138,17 @@ class Client:
         self,
         verb: str,
         *,
-        trace_id: str | None = None,
         span_ctx: str | None = None,
         **params: Any,
     ) -> Any:
         """One request/response round trip; the raw ``result`` value.
 
-        ``trace_id`` (optional) is sent with the request and stamped
-        onto every engine trace event the server emits for it; the
-        server echoes it (or a generated id) back and it is kept in
-        :attr:`last_trace_id`.
-
         ``span_ctx`` (optional) is an encoded span context
         (:func:`repro.obs.spans.encode_context`) sent as the request's
         ``span`` field, parenting the server's span under the caller's.
         Without one, a configured :attr:`span_sink` opens (and exports)
-        a ``client:<verb>`` root span around the round trip.
+        a ``client:<verb>`` root span around the round trip.  A traced
+        request's trace id comes back in :attr:`last_trace_id`.
 
         Raises the matching :class:`RemoteError` subtype on an error
         frame, :class:`ConnectionError` if the server hangs up, and
@@ -158,8 +156,6 @@ class Client:
         """
         self._next_id += 1
         request_id = self._next_id
-        if trace_id is not None:
-            params["trace_id"] = trace_id
         span = None
         if (
             span_ctx is None
@@ -185,8 +181,7 @@ class Client:
                     f"request id {request_id!r}"
                 )
             echoed = frame.get("trace_id")
-            if isinstance(echoed, str):
-                self.last_trace_id = echoed
+            self.last_trace_id = echoed if isinstance(echoed, str) else None
             if not frame.get("ok"):
                 raise_error(frame)
         except Exception as exc:
@@ -723,7 +718,7 @@ class ShardedClient:
         """Prepare/probe/commit one batch across every involved shard."""
         groups = group_ops_by_shard(self.shard_map, wire_ops)
         shards = sorted(groups)  # worker-id order: deadlock-free
-        xid = uuid.uuid4().hex
+        xid = secrets.token_hex(16)
         root = router = None
         sink = self.span_sink
         if sink is not None and sink.sample_root():

@@ -46,7 +46,6 @@ from repro.obs.spans import (
     render_waterfall,
 )
 from repro.obs.trace import (
-    CorrelatingTracer,
     JsonlTracer,
     RingBufferTracer,
     TraceEvent,
@@ -54,7 +53,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "CorrelatingTracer",
     "Counter",
     "Gauge",
     "Histogram",

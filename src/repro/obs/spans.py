@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import json
 import random
+import secrets
 import threading
-import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter, time
@@ -61,12 +61,12 @@ __all__ = [
 
 def new_trace_id() -> str:
     """A fresh 32-hex trace id."""
-    return uuid.uuid4().hex
+    return secrets.token_hex(16)
 
 
 def new_span_id() -> str:
     """A fresh 16-hex span id."""
-    return uuid.uuid4().hex[:16]
+    return secrets.token_hex(8)
 
 
 def encode_context(

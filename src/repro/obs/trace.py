@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Protocol
 
 
@@ -48,9 +48,9 @@ class TraceEvent:
     rows: int | None = None
     elapsed_us: float | None = None
     detail: str | None = None
-    #: Request correlation id, stamped by the server's
-    #: :class:`CorrelatingTracer` so one grep of a JSONL sink
-    #: reconstructs a request's full decision path.
+    #: The trace id of the request span the event happened under,
+    #: stamped by the server so one grep of a JSONL sink reconstructs
+    #: a traced request's full decision path.
     trace_id: str | None = None
 
     def to_dict(self) -> dict:
@@ -131,33 +131,6 @@ class JsonlTracer:
         """Close the underlying stream if this tracer opened it."""
         if self._owns_stream:
             self._stream.close()
-
-
-class CorrelatingTracer:
-    """Stamps the active request's ``trace_id`` onto every event before
-    forwarding to the wrapped sink.
-
-    The server sets :attr:`trace_id` for the duration of one request's
-    engine work and clears it afterwards (safe because the engine runs
-    on a single event loop and never awaits mid-mutation), so every
-    :class:`TraceEvent` a request causes -- the mutation itself, its
-    reference checks, WAL appends, or the rejection -- carries the same
-    id the client saw echoed in its response.  Events emitted while no
-    request is active (e.g. the group-commit record covering a whole
-    batch) pass through unstamped, as do events that already carry an
-    id.
-    """
-
-    def __init__(self, sink: Tracer):
-        self._sink = sink
-        #: The id to stamp; ``None`` between requests.
-        self.trace_id: str | None = None
-
-    def emit(self, event: TraceEvent) -> None:
-        """Forward one event, stamped with the active trace id."""
-        if self.trace_id is not None and event.trace_id is None:
-            event = replace(event, trace_id=self.trace_id)
-        self._sink.emit(event)
 
 
 class TeeTracer:

@@ -36,8 +36,8 @@ acked durability survives the loss of the primary's disk.
 Telemetry runs end to end: the service records per-verb request
 counters and latencies, violation counters labeled by constraint kind
 and paper rule, and queue/batch/WAL-sync instruments on a
-:class:`~repro.obs.metrics.MetricsRegistry`, and every request carries
-a ``trace_id`` (client-supplied or server-generated) that is echoed in
+:class:`~repro.obs.metrics.MetricsRegistry`, and every request traced
+under a span (``--span-sink``) has the span's ``trace_id`` echoed in
 the response and stamped onto the engine's trace events (see
 ``docs/OBSERVABILITY.md``).
 

@@ -7,14 +7,7 @@ match responses to requests), a ``verb``, and verb-specific parameters::
 
     {"id": 1, "verb": "insert", "scheme": "COURSE", "row": {"C.NR": "c1"}}
 
-Requests may also carry an optional ``trace_id`` string.  The server
-echoes it -- or a generated id, when absent -- as a top-level
-``trace_id`` on the response (and inside the ``error`` object of error
-frames), and stamps it onto every engine trace event emitted while
-handling the request, which is the correlation handle ``repro monitor``
-and JSONL trace greps pivot on (see ``docs/OBSERVABILITY.md``).
-
-Requests may further carry an optional ``span`` string -- a
+Requests may also carry an optional ``span`` string -- a
 W3C-traceparent-style span context
 (:func:`repro.obs.spans.encode_context`).  A server running with a span
 sink parents its server span on the context's span id, so the client's
@@ -23,7 +16,13 @@ prepare/commit, the group-commit barrier, and the replica's apply all
 land in one reassemblable trace (``repro trace``; see
 ``docs/OBSERVABILITY.md``).  An absent or malformed ``span`` simply
 roots a new trace; bit 0 of the context's flags carries the caller's
-head-sampling decision.
+head-sampling decision.  A request that runs under a span gets the
+span's ``trace_id`` echoed as a top-level ``trace_id`` on the response
+(and inside the ``error`` object of error frames), and the server
+stamps it onto every engine trace event emitted while handling the
+request -- the handle JSONL trace greps and ``repro trace`` pivot on
+(see ``docs/OBSERVABILITY.md``).  Untraced responses carry no
+``trace_id``.
 
 Responses are either a result frame or a typed error frame::
 

@@ -40,10 +40,11 @@ log cannot prove committed.
 from __future__ import annotations
 
 import asyncio
+import os
 import sys
-import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from time import perf_counter, time
 from typing import Any, Mapping
 
@@ -53,7 +54,6 @@ from repro.engine.recovery import RecoveryError, WalApplier
 from repro.engine.wal import WalCursor, WalError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanSink, decode_context, render_trace
-from repro.obs.trace import CorrelatingTracer
 from repro.server import protocol
 from repro.server.protocol import (
     DECISION_VERBS,
@@ -80,6 +80,29 @@ class WrongShardError(Exception):
     def __init__(self, worker: int):
         super().__init__(f"row belongs to worker {worker}")
         self.worker = worker
+
+
+def _error_for(request_id: Any, exc: Exception) -> dict[str, Any]:
+    """The error frame for an exception raised while serving a request.
+
+    The one map every read, group-commit item, prepare and replication
+    verb goes through, so a rejection classifies the same whichever
+    path carried it.  Callers that must poison the log on a
+    :class:`WalError` do so themselves.
+    """
+    if isinstance(exc, ConstraintViolationError):
+        return violation_frame(request_id, exc)
+    if isinstance(exc, WrongShardError):
+        return error_frame(
+            request_id, "wrong-shard", str(exc), worker=exc.worker
+        )
+    if isinstance(exc, KeyError):
+        return error_frame(request_id, "not-found", str(exc))
+    if isinstance(exc, WalError):
+        return error_frame(request_id, "wal-error", str(exc))
+    if isinstance(exc, ValueError):  # ProtocolError included
+        return error_frame(request_id, "bad-request", str(exc))
+    return error_frame(request_id, "server-error", repr(exc))
 
 
 @dataclass
@@ -279,11 +302,13 @@ class ServerMetrics:
 class _SpanEventBridge:
     """Tee engine :class:`TraceEvent`s into the active request span.
 
-    Sits between the service's :class:`CorrelatingTracer` and the real
-    trace sink: every event still reaches the configured tracer
-    unchanged, but while a sampled request is executing its
-    constraint-check / WAL-append decisions also land on the request's
-    span as span events, so one waterfall shows both layers.
+    Sits in front of the configured trace sink (if any).  While a
+    sampled request is executing, its constraint-check / WAL-append
+    decisions land on the request's span as span events -- so one
+    waterfall shows both layers -- and reach the sink stamped with the
+    span's ``trace_id``, the id the client saw echoed, so one grep of a
+    JSONL sink reconstructs the request's decision path.  Events
+    emitted outside any span pass through unchanged.
     """
 
     def __init__(self, service: "DatabaseService", sink):
@@ -303,6 +328,8 @@ class _SpanEventBridge:
                 rows=event.rows,
                 elapsed_us=event.elapsed_us,
             )
+            if event.trace_id is None:
+                event = replace(event, trace_id=span.trace_id)
         if self._sink is not None:
             self._sink.emit(event)
 
@@ -456,17 +483,14 @@ class DatabaseService:
         self.metrics: ServerMetrics | None = (
             ServerMetrics(self) if metrics else None
         )
-        #: Stamps each request's trace id onto the engine's trace
-        #: events; ``None`` when neither a tracer nor a span sink is
-        #: attached (a span sink alone still needs the correlator, so
-        #: engine events reach the active request span as span events).
-        self._correlator: CorrelatingTracer | None = None
-        if db.tracer is not None or span_sink is not None:
-            self._correlator = CorrelatingTracer(
-                _SpanEventBridge(self, db.tracer)
-            )
+        #: Tees engine trace events onto the active request span;
+        #: ``None`` without a span sink, when a configured tracer gets
+        #: the engine's events directly and unstamped.
+        self._bridge: _SpanEventBridge | None = None
+        if span_sink is not None:
+            self._bridge = _SpanEventBridge(self, db.tracer)
             if not self._span_only_tracing:
-                db.set_tracer(self._correlator)
+                db.set_tracer(self._bridge)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -499,37 +523,30 @@ class DatabaseService:
     ) -> dict[str, Any]:
         """One request frame in, one response frame out (never raises).
 
-        Every response echoes a ``trace_id`` -- the client's, when the
-        request carried one, otherwise a server-generated id -- and the
-        same id is stamped onto every engine :class:`TraceEvent` the
-        request causes (via the :class:`CorrelatingTracer`), so one
-        grep of a JSONL trace sink reconstructs the decision path.
+        A request that runs under a span -- one joining an incoming
+        sampled ``span`` context, or one the server roots -- echoes the
+        span's ``trace_id`` in its response, and the same id is stamped
+        onto every engine :class:`TraceEvent` the request causes (via
+        the :class:`_SpanEventBridge`), so one grep of a JSONL trace
+        sink reconstructs the decision path.
         """
         request_id = frame.get("id")
         verb = frame.get("verb")
         session.requests += 1
         self.requests_served += 1
         started = perf_counter()
-        trace_id = frame.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            response = error_frame(
-                request_id, "bad-request", "parameter 'trace_id' must be a string"
-            )
-            return self._finish(session, "invalid", None, started, response)
-        if trace_id is None:
-            trace_id = uuid.uuid4().hex[:16]
         if not isinstance(verb, str) or verb not in VERBS:
             response = error_frame(
                 request_id,
                 "bad-request",
                 f"unknown verb {verb!r}; expected one of {', '.join(VERBS)}",
             )
-            return self._finish(session, "invalid", trace_id, started, response)
+            return self._finish(session, "invalid", started, response)
         if verb in REPLICATION_VERBS:
             response = await self._handle_replication(
                 verb, frame, request_id, session
             )
-            return self._finish(session, verb, trace_id, started, response)
+            return self._finish(session, verb, started, response)
         if self.role == "replica" and (
             verb in MUTATION_VERBS or verb in DECISION_VERBS
         ):
@@ -540,16 +557,14 @@ class DatabaseService:
                 "primary",
                 primary=self.primary,
             )
-            return self._finish(session, verb, trace_id, started, response)
+            return self._finish(session, verb, started, response)
         span = self._open_server_span(verb, frame)
         if verb in DECISION_VERBS:
             session.mutations += 1
             response = await self._handle_decision(
                 verb, frame, request_id, span
             )
-            return self._finish(
-                session, verb, trace_id, started, response, span
-            )
+            return self._finish(session, verb, started, response, span)
         if verb in MUTATION_VERBS:
             session.mutations += 1
             if self._stopping:
@@ -558,30 +573,22 @@ class DatabaseService:
                     "shutting-down",
                     "server is draining; no further mutations accepted",
                 )
-                return self._finish(
-                    session, verb, trace_id, started, response, span
-                )
+                return self._finish(session, verb, started, response, span)
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             self.inflight += 1
             try:
-                await self._queue.put(
-                    (verb, frame, request_id, trace_id, span, future)
-                )
+                await self._queue.put((verb, frame, request_id, span, future))
             except BaseException:
                 self.inflight -= 1
                 raise
             response = await future
         else:
-            if self._correlator is not None:
-                self._correlator.trace_id = trace_id
             self._activate_span(span)
             try:
                 response = self._execute_read(verb, frame, request_id)
             finally:
                 self._activate_span(None)
-                if self._correlator is not None:
-                    self._correlator.trace_id = None
-        return self._finish(session, verb, trace_id, started, response, span)
+        return self._finish(session, verb, started, response, span)
 
     def _open_server_span(
         self, verb: str, frame: Mapping[str, Any]
@@ -618,20 +625,19 @@ class DatabaseService:
         self,
         session: Session,
         verb: str,
-        trace_id: str | None,
         started: float,
         response: dict[str, Any],
         span: Span | None = None,
     ) -> dict[str, Any]:
-        """Common response tail: echo the trace id (top-level and inside
-        the error object, so client exceptions carry it), bump the
-        session counters, record the request metrics, and close out the
-        server span (export + slow-request log)."""
-        if trace_id is not None:
-            response["trace_id"] = trace_id
+        """Common response tail: echo the span's trace id (top-level and
+        inside the error object, so client exceptions carry it), bump
+        the session counters, record the request metrics, and close out
+        the server span (export + slow-request log)."""
+        if span is not None:
+            response["trace_id"] = span.trace_id
             error = response.get("error")
             if isinstance(error, dict):
-                error.setdefault("trace_id", trace_id)
+                error.setdefault("trace_id", span.trace_id)
         if not response.get("ok"):
             session.rejections += 1
         if self.metrics is not None:
@@ -649,7 +655,7 @@ class DatabaseService:
                         kind=error.get("kind", ""),
                         rule=error.get("rule", ""),
                     ).inc()
-        if span is not None and self.span_sink is not None:
+        if span is not None:
             if response.get("lsn") is not None:
                 span.attributes["lsn"] = response["lsn"]
             error = response.get("error")
@@ -811,7 +817,7 @@ class DatabaseService:
         try:
             await self._await_replication(lsn)
         finally:
-            for (_, _, _, _, _, future), outcome in zip(batch, outcomes):
+            for (*_, future), outcome in zip(batch, outcomes):
                 if not future.done():
                     future.set_result(outcome)
 
@@ -857,10 +863,8 @@ class DatabaseService:
                     frame, request_id, session
                 )
             raise ProtocolError(f"unhandled replication verb {verb!r}")
-        except ProtocolError as exc:
-            return error_frame(request_id, "bad-request", str(exc))
         except Exception as exc:
-            return error_frame(request_id, "server-error", repr(exc))
+            return _error_for(request_id, exc)
 
     async def _handle_promote(self, request_id: Any) -> dict[str, Any]:
         was = self.role
@@ -1325,18 +1329,8 @@ class DatabaseService:
                     },
                 )
             raise ProtocolError(f"unhandled read verb {verb!r}")
-        except WrongShardError as exc:
-            return error_frame(
-                request_id, "wrong-shard", str(exc), worker=exc.worker
-            )
-        except ProtocolError as exc:
-            return error_frame(request_id, "bad-request", str(exc))
-        except KeyError as exc:
-            return error_frame(request_id, "not-found", str(exc))
-        except ValueError as exc:
-            return error_frame(request_id, "bad-request", str(exc))
         except Exception as exc:  # a read must never kill the connection
-            return error_frame(request_id, "server-error", repr(exc))
+            return _error_for(request_id, exc)
 
     def render_metrics(self) -> str:
         """The full Prometheus text exposition: the engine's counters
@@ -1394,13 +1388,15 @@ class DatabaseService:
 
     def wal_size_bytes(self) -> int:
         """On-disk WAL size for the process gauge (0 when the WAL is
-        memory-backed, detached, or unreadable)."""
-        wal = self.db.wal
-        if wal is None:
+        memory-backed, detached, or unreadable).  Reads the file's
+        length rather than asking the storage, which would flush
+        buffered records and refuses once drain has closed the log."""
+        path = getattr(self.db.wal and self.db.wal.storage, "path", None)
+        if path is None:
             return 0
         try:
-            return int(wal.storage.size())
-        except Exception:
+            return os.path.getsize(path)
+        except OSError:
             return 0
 
     def _source_row(self, frame: Mapping[str, Any]):
@@ -1499,71 +1495,23 @@ class DatabaseService:
         with the requirements only other shards can answer, then parks
         on the decision queue until ``batch_commit``/``batch_abort``
         arrives (or :attr:`prepare_timeout` expires, which aborts).  The
-        commit path ends with the same :meth:`Database.sync_wal`
-        durability barrier as a group commit -- results are never acked
+        commit path ends with the same durability barrier as a group
+        commit (:meth:`_sync_barrier`) -- results are never acked
         before the batch is durable.  The prepare itself is volatile:
         its WAL bracket has no commit marker until the decision, so a
         crash while holding aborts it on recovery.
         """
-        _verb, frame, request_id, trace_id, span, future = item
+        _verb, frame, request_id, span, future = item
         if self.poisoned is not None:
             self._ack_mutation(future, self._poisoned_frame(request_id))
             return
-        if self._correlator is not None:
-            self._correlator.trace_id = trace_id
-        if span is not None:
-            self._export_queue_wait(span)
-        apply_span = (
-            span.child("prepare", kind="engine") if span is not None else None
+        prepared, error = self._apply_queued(
+            span, "prepare", request_id, partial(self._prepare, frame)
         )
-        self._activate_span(apply_span)
-        lsn_before = self.db.wal.next_lsn if self.db.wal is not None else 0
-        prepared = None
-        try:
-            xid = _require(frame, "xid", str)
-            self._check_shard("batch_prepare", frame)
-            ops = _decode_batch_ops(_require(frame, "ops", list))
-            prepared = self.db.apply_batch_prepare(ops)
-        except ConstraintViolationError as exc:
-            self._ack_mutation(future, violation_frame(request_id, exc))
-        except WrongShardError as exc:
-            self._ack_mutation(
-                future,
-                error_frame(
-                    request_id, "wrong-shard", str(exc), worker=exc.worker
-                ),
-            )
-        except ProtocolError as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "bad-request", str(exc))
-            )
-        except KeyError as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "not-found", str(exc))
-            )
-        except WalError as exc:
-            self.poisoned = str(exc)
-            self._ack_mutation(
-                future, error_frame(request_id, "wal-error", str(exc))
-            )
-        except ValueError as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "bad-request", str(exc))
-            )
-        except Exception as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "server-error", repr(exc))
-            )
-        finally:
-            self._activate_span(None)
-            if apply_span is not None:
-                self.span_sink.export(
-                    apply_span.end(None if prepared is not None else "error")
-                )
-            if self._correlator is not None:
-                self._correlator.trace_id = None
-        if prepared is None:
+        if error is not None:
+            self._ack_mutation(future, error)
             return
+        xid = frame["xid"]
         self.prepares += 1
         self._held_xid = xid
         requirements = [
@@ -1634,52 +1582,27 @@ class DatabaseService:
             if not dfuture.done():
                 dfuture.set_result(ok_frame(drequest_id, None))
             return
-        commit_parent = dspan if dspan is not None else span
-        commit_span = (
-            commit_parent.child("group-commit", kind="wal", xid=xid)
-            if commit_parent is not None
-            else None
-        )
-        if self._correlator is not None:
-            # The decision's durability barrier belongs to this
-            # prepare's trace, same as a group commit's (PR 10).
-            self._correlator.trace_id = trace_id
-        self._activate_span(commit_span)
         try:
-            results = prepared.commit()
-            self.db.sync_wal()
-        except (WalError, OSError) as exc:
-            self.poisoned = str(exc)
-            outcome = self._poisoned_frame(drequest_id)
-        except Exception as exc:
-            outcome = error_frame(drequest_id, "server-error", repr(exc))
-        else:
-            self.prepare_commits += 1
-            self._observe_prepare("committed")
-            outcome = ok_frame(
-                drequest_id,
-                [
-                    encode_row(t.mapping) if t is not None else None
-                    for t in results
-                ],
+            durable = self._sync_barrier(
+                dspan if dspan is not None else span, prepared.commit, xid=xid
             )
-            if self.db.wal is not None:
-                outcome["lsn"] = self.db.wal.next_lsn - 1
-                if span is not None:
-                    ctx = span.context()
-                    for lsn in range(lsn_before, self.db.wal.next_lsn):
-                        self._remember_span_ctx(lsn, ctx)
-                self._signal_commit()
-        finally:
-            self._activate_span(None)
-            if self._correlator is not None:
-                self._correlator.trace_id = None
-            if commit_span is not None:
-                self.span_sink.export(
-                    commit_span.end(
-                        None if self.poisoned is None else "wal-error"
-                    )
+        except Exception as exc:
+            outcome = _error_for(drequest_id, exc)
+        else:
+            if durable:
+                self.prepare_commits += 1
+                self._observe_prepare("committed")
+                outcome = ok_frame(
+                    drequest_id,
+                    [
+                        encode_row(t.mapping) if t is not None else None
+                        for t in prepared.results
+                    ],
                 )
+                if self.db.wal is not None:
+                    outcome["lsn"] = self.db.wal.next_lsn - 1
+            else:
+                outcome = self._poisoned_frame(drequest_id)
         if (
             outcome.get("ok")
             and self.db.wal is not None
@@ -1691,6 +1614,13 @@ class DatabaseService:
             await self._await_replication(self.db.wal.durable_lsn)
         if not dfuture.done():
             dfuture.set_result(outcome)
+
+    def _prepare(self, frame: Mapping[str, Any]):
+        """Validate a ``batch_prepare`` frame and open its transaction."""
+        _require(frame, "xid", str)
+        self._check_shard("batch_prepare", frame)
+        ops = _decode_batch_ops(_require(frame, "ops", list))
+        return self.db.apply_batch_prepare(ops)
 
     def _observe_prepare(self, outcome: str) -> None:
         if self.metrics is not None:
@@ -1715,9 +1645,7 @@ class DatabaseService:
         """
         self._active_span = span
         if self._span_only_tracing:
-            self.db.set_tracer(
-                self._correlator if span is not None else None
-            )
+            self.db.set_tracer(self._bridge if span is not None else None)
 
     def _export_queue_wait(self, span: Span) -> None:
         """Export a back-dated ``queue-wait`` child covering the time a
@@ -1729,13 +1657,100 @@ class DatabaseService:
         child._t0 -= waited
         self.span_sink.export(child.end())
 
-    def _remember_span_ctx(self, lsn: int, ctx: str) -> None:
-        """Map a committed WAL record's lsn to the span context that
-        produced it, bounded so an idle replica can't leak memory (a
-        trailing replica misses stamps, never records)."""
-        self._span_ctx_by_lsn[lsn] = ctx
+    def _next_lsn(self) -> int:
+        return self.db.wal.next_lsn if self.db.wal is not None else 0
+
+    def _remember_span_ctx(self, span: Span | None, lsn_before: int) -> None:
+        """Map the WAL records appended since ``lsn_before`` to the span
+        context that produced them, bounded so an idle replica can't
+        leak memory (a trailing replica misses stamps, never records)."""
+        if span is None:
+            return
+        ctx = span.context()
+        for lsn in range(lsn_before, self._next_lsn()):
+            self._span_ctx_by_lsn[lsn] = ctx
         while len(self._span_ctx_by_lsn) > 4096:
             self._span_ctx_by_lsn.pop(next(iter(self._span_ctx_by_lsn)))
+
+    def _apply_queued(
+        self,
+        span: Span | None,
+        name: str,
+        request_id: Any,
+        run,
+        **attributes: Any,
+    ) -> tuple[Any, dict[str, Any] | None]:
+        """Run one queued item's engine work under its request span.
+
+        Exports the item's ``queue-wait``, runs ``run()`` inside a
+        ``name`` child span, and maps the records it logged to the
+        request's span context.  Returns ``(result, None)``, or
+        ``(None, error frame)`` from the error map -- a :class:`WalError`
+        also poisons the service.
+        """
+        apply_span = None
+        if span is not None:
+            self._export_queue_wait(span)
+            apply_span = span.child(name, kind="engine", **attributes)
+        self._activate_span(apply_span)
+        lsn_before = self._next_lsn()
+        result = error = None
+        try:
+            result = run()
+        except Exception as exc:
+            if isinstance(exc, WalError):
+                self.poisoned = str(exc)
+            error = _error_for(request_id, exc)
+        else:
+            self._remember_span_ctx(span, lsn_before)
+        finally:
+            self._activate_span(None)
+        if apply_span is not None:
+            self.span_sink.export(
+                apply_span.end(error["error"]["type"] if error else None)
+            )
+        return result, error
+
+    def _sync_barrier(
+        self, parent: Span | None, commit=None, **attributes: Any
+    ) -> bool:
+        """The durability barrier of a group commit and of a prepare's
+        commit decision: ``commit()`` (the decision's commit marker),
+        then one :meth:`Database.sync_wal`, under a ``group-commit``
+        child of ``parent``.
+
+        A storage fault poisons the service -- nothing before the
+        barrier is durable; success wakes parked replica polls.
+        Returns whether the barrier held.
+        """
+        span = (
+            parent.child("group-commit", kind="wal", **attributes)
+            if parent is not None
+            else None
+        )
+        self._activate_span(span)
+        lsn_before = self._next_lsn()
+        sync_started = perf_counter()
+        try:
+            if commit is not None:
+                commit()
+            self.db.sync_wal()
+        except (WalError, OSError) as exc:
+            self.poisoned = str(exc)
+        else:
+            if self.metrics is not None:
+                self.metrics.wal_sync_seconds.observe(
+                    perf_counter() - sync_started
+                )
+            self._remember_span_ctx(parent, lsn_before)
+            self._signal_commit()
+        finally:
+            self._activate_span(None)
+            if span is not None:
+                self.span_sink.export(
+                    span.end(None if self.poisoned is None else "wal-error")
+                )
+        return self.poisoned is None
 
     def _commit_group(self, batch: list[tuple]) -> None:
         """Apply one batch, issue the group-commit barrier, then ack.
@@ -1744,137 +1759,48 @@ class DatabaseService:
         scheduling step, so reads interleave between groups, never
         inside one.
         """
-        outcomes: list[dict | None] = []
-        for verb, frame, request_id, trace_id, span, _future in batch:
+        outcomes: list[dict] = []
+        for verb, frame, request_id, span, _future in batch:
             if self.poisoned is not None:
                 outcomes.append(self._poisoned_frame(request_id))
                 continue
-            if self._correlator is not None:
-                self._correlator.trace_id = trace_id
-            if span is not None:
-                self._export_queue_wait(span)
-            apply_span = (
-                span.child("apply", kind="engine", verb=verb)
-                if span is not None
-                else None
+            result, error = self._apply_queued(
+                span,
+                "apply",
+                request_id,
+                partial(self._execute_mutation, verb, frame),
+                verb=verb,
             )
-            self._activate_span(apply_span)
-            lsn_before = (
-                self.db.wal.next_lsn if self.db.wal is not None else 0
-            )
-            try:
-                result = self._execute_mutation(verb, frame)
-            except ConstraintViolationError as exc:
-                outcomes.append(violation_frame(request_id, exc))
-            except WrongShardError as exc:
-                outcomes.append(
-                    error_frame(
-                        request_id, "wrong-shard", str(exc), worker=exc.worker
-                    )
-                )
-            except ProtocolError as exc:
-                outcomes.append(
-                    error_frame(request_id, "bad-request", str(exc))
-                )
-            except KeyError as exc:
-                outcomes.append(error_frame(request_id, "not-found", str(exc)))
-            except WalError as exc:
-                self.poisoned = str(exc)
-                outcomes.append(
-                    error_frame(request_id, "wal-error", str(exc))
-                )
-            except ValueError as exc:
-                outcomes.append(
-                    error_frame(request_id, "bad-request", str(exc))
-                )
-            except Exception as exc:
-                outcomes.append(
-                    error_frame(request_id, "server-error", repr(exc))
-                )
-            else:
-                outcome = ok_frame(request_id, result)
-                if self.db.wal is not None:
-                    # The lsn of the mutation's last log record -- the
-                    # client's read-your-writes watermark (a replica is
-                    # caught up with this write once its applied_lsn
-                    # reaches it).
-                    outcome["lsn"] = self.db.wal.next_lsn - 1
-                    if span is not None:
-                        ctx = span.context()
-                        for lsn in range(
-                            lsn_before, self.db.wal.next_lsn
-                        ):
-                            self._remember_span_ctx(lsn, ctx)
-                outcomes.append(outcome)
-            finally:
-                self._activate_span(None)
-                if apply_span is not None:
-                    last = outcomes[-1] if outcomes else None
-                    status = None
-                    if isinstance(last, dict) and not last.get("ok"):
-                        status = str(
-                            (last.get("error") or {}).get("type", "error")
-                        )
-                    self.span_sink.export(apply_span.end(status))
-                # Clear before the next item (the barrier below is
-                # re-stamped with the batch's leading trace id).
-                if self._correlator is not None:
-                    self._correlator.trace_id = None
+            if error is not None:
+                outcomes.append(error)
+                continue
+            outcome = ok_frame(request_id, result)
+            if self.db.wal is not None:
+                # The lsn of the mutation's last log record -- the
+                # client's read-your-writes watermark (a replica is
+                # caught up with this write once its applied_lsn
+                # reaches it).
+                outcome["lsn"] = self.db.wal.next_lsn - 1
+            outcomes.append(outcome)
         if self.poisoned is None:
-            # The barrier covers the whole batch; attribute its trace
-            # event to the batch's leading request (PR 5 left barrier
-            # events unstamped) and hang its span under the first
-            # sampled request's server span.
-            batch_trace_id = next(
-                (t for _, _, _, t, _, _ in batch if t is not None), None
-            )
-            span_parent = next(
-                (s for _, _, _, _, s, _ in batch if s is not None), None
-            )
-            group_span = (
-                span_parent.child("group-commit", kind="wal", batch=len(batch))
-                if span_parent is not None
-                else None
-            )
-            if group_span is not None and len(batch) > 1:
-                group_span.attributes["trace_ids"] = [
-                    t for _, _, _, t, _, _ in batch if t is not None
-                ]
-            if self._correlator is not None:
-                self._correlator.trace_id = batch_trace_id
-            self._activate_span(group_span)
-            sync_started = perf_counter()
-            try:
-                self.db.sync_wal()
-            except (WalError, OSError) as exc:
-                # Nothing in this group is durable: poison the service
-                # and turn every would-be ack into a wal-error frame.
-                self.poisoned = str(exc)
+            # The barrier covers the whole batch; its span (and the
+            # trace events it causes) hang under the first sampled
+            # request's server span.
+            spans = [s for _, _, _, s, _ in batch if s is not None]
+            attributes: dict[str, Any] = {"batch": len(batch)}
+            if len(batch) > 1:
+                attributes["trace_ids"] = [s.trace_id for s in spans]
+            if not self._sync_barrier(
+                spans[0] if spans else None, **attributes
+            ):
+                # Nothing in this group is durable: turn every
+                # would-be ack into a wal-error frame.
                 outcomes = [
-                    self._poisoned_frame(request_id)
-                    if outcome is not None and outcome.get("ok")
+                    self._poisoned_frame(outcome["id"])
+                    if outcome.get("ok")
                     else outcome
-                    for outcome, (_, _, request_id, _, _, _) in zip(
-                        outcomes, batch
-                    )
+                    for outcome in outcomes
                 ]
-            else:
-                if self.metrics is not None:
-                    self.metrics.wal_sync_seconds.observe(
-                        perf_counter() - sync_started
-                    )
-                # Wake parked replica polls: new durable records exist.
-                self._signal_commit()
-            finally:
-                self._activate_span(None)
-                if self._correlator is not None:
-                    self._correlator.trace_id = None
-                if group_span is not None:
-                    self.span_sink.export(
-                        group_span.end(
-                            None if self.poisoned is None else "wal-error"
-                        )
-                    )
         if self.metrics is not None:
             self.metrics.batch_size.observe(len(batch))
         acked_lsn = (
@@ -1892,7 +1818,7 @@ class DatabaseService:
                 self._resolve_after_confirm(batch, outcomes, acked_lsn)
             )
             return
-        for (_, _, _, _, _, future), outcome in zip(batch, outcomes):
+        for (*_, future), outcome in zip(batch, outcomes):
             if not future.done():
                 future.set_result(outcome)
 

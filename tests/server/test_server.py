@@ -182,6 +182,33 @@ def test_drain_checkpoints_the_wal(served_db, client):
     assert ops == ["header", "snapshot"]
 
 
+def test_drained_summary_reports_the_closed_log_size(tmp_path):
+    """The WAL-size gauge reads the file after drain has closed it."""
+    import os
+
+    from repro.engine.database import Database
+    from repro.engine.wal import FileStorage, WriteAheadLog
+    from repro.server import ServerConfig, ServerThread, drain_summary
+    from repro.workloads.university import university_relational
+
+    path = str(tmp_path / "server.wal")
+    db = Database(
+        university_relational(),
+        wal=WriteAheadLog(FileStorage(path, buffered=True)),
+    )
+    with ServerThread(db, ServerConfig()) as st:
+        with Client(port=st.port, timeout=30) as c:
+            c.insert_many("COURSE", [{"C.NR": f"c{i}"} for i in range(50)])
+    size = os.path.getsize(path)
+    assert size > 0
+    gauges = {
+        family["name"]: family["samples"][0]["value"]
+        for family in drain_summary(st.server)["server"]["metrics"]
+        if family["samples"]
+    }
+    assert gauges["repro_server_wal_size_bytes"] == size
+
+
 def test_sigterm_drain_prints_json_summary_to_stderr(tmp_path):
     """Graceful drain ends with a machine-readable telemetry snapshot:
     one JSON object on stderr (the human ``drained:`` line stays on

@@ -1,11 +1,13 @@
 """End-to-end telemetry: trace correlation, /metrics, probes, monitor.
 
 The acceptance path of the observability slice: a violating mutation
-driven through the blocking client with an explicit ``trace_id`` must
-(a) come back as an error frame echoing that id with the constraint
-kind and paper rule, (b) leave every engine trace event it caused in
-the JSONL sink bearing the same id, and (c) show up in the scraped
-``/metrics`` exposition as a violation counter labeled with that rule.
+driven through the blocking client under a sampled span context must
+(a) come back as an error frame echoing that context's trace id with
+the constraint kind and paper rule, (b) leave every engine trace event
+it caused in the JSONL sink bearing the same id, and (c) show up in the
+scraped ``/metrics`` exposition as a violation counter labeled with
+that rule.  Requests sent without a context (on a server that roots no
+traces of its own) get no trace id, and their events stay unstamped.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import pytest
 from repro.client import Client, RemoteConstraintViolation
 from repro.engine.database import Database
 from repro.engine.wal import MemoryStorage, WriteAheadLog
+from repro.obs.spans import encode_context, new_span_id, new_trace_id
 from repro.obs.trace import JsonlTracer, read_jsonl
 from repro.server import ServerConfig, ServerThread
 from repro.workloads.university import university_relational
 
-TRACE_ID = "trace-smoke-1"
+TRACE_ID = new_trace_id()
 
 
 def _http_get(url: str):
@@ -36,7 +39,9 @@ def _http_get(url: str):
 
 @pytest.fixture
 def traced_server(tmp_path):
-    """A served database with a JSONL tracer and the metrics endpoint."""
+    """A served database with a JSONL tracer, a span sink that roots no
+    traces of its own (only requests carrying a sampled context are
+    traced), and the metrics endpoint."""
     trace_path = str(tmp_path / "trace.jsonl")
     tracer = JsonlTracer.to_path(trace_path)
     db = Database(
@@ -45,7 +50,13 @@ def traced_server(tmp_path):
         wal=WriteAheadLog(MemoryStorage()),
     )
     st = ServerThread(
-        db, ServerConfig(max_connections=8, metrics_port=0)
+        db,
+        ServerConfig(
+            max_connections=8,
+            metrics_port=0,
+            span_sink=str(tmp_path / "spans.jsonl"),
+            span_sample=0.0,
+        ),
     )
     st.start()
     yield st, trace_path
@@ -54,26 +65,27 @@ def traced_server(tmp_path):
 
 
 def _run_load(st: ServerThread) -> str:
-    """A small load ending in one restrict-delete violation under an
-    explicit trace id; returns the violated rule label."""
+    """A small untraced load ending in one restrict-delete violation
+    sent under a sampled span context; returns the violated rule
+    label."""
     with Client(port=st.port, timeout=30) as c:
         c.insert("DEPARTMENT", {"D.NAME": "d1"})
         c.insert("COURSE", {"C.NR": "c1"})
         c.insert(
             "OFFER", {"O.D.NAME": "d1", "O.C.NR": "c1"}
         )
-        assert c.last_trace_id  # server-generated id echoed
+        assert c.last_trace_id is None  # untraced: nothing echoed
         with pytest.raises(RemoteConstraintViolation) as exc_info:
             c.call(
                 "delete",
-                trace_id=TRACE_ID,
+                span_ctx=encode_context(TRACE_ID, new_span_id()),
                 scheme="COURSE",
                 pk=["c1"],
             )
         err = exc_info.value
         assert err.kind == "restrict-delete"
         assert "restrict rule" in err.rule
-        # (a) the error frame echoes the client's trace id.
+        # (a) the error frame echoes the context's trace id.
         assert err.extra.get("trace_id") == TRACE_ID
         assert c.last_trace_id == TRACE_ID
         return err.rule
@@ -125,15 +137,11 @@ def test_violation_trace_and_metrics_end_to_end(traced_server):
     reject = next(e for e in correlated if e["event"] == "reject")
     assert reject["kind"] == "restrict-delete"
     assert reject["rule"] == rule
-    # Nothing about this request leaked into other requests' events,
-    # and every request-scoped *and* barrier event carries a trace id:
-    # the group-commit barrier is attributed to the batch's leading
-    # request (the PR 5 carve-out, fixed in PR 10).
-    for e in events:
-        if e.get("op") == "group-commit":
-            assert e.get("trace_id"), e
-        elif e["event"] in ("mutation", "reject", "ref-check", "wal"):
-            assert e.get("trace_id"), e
+    # The untraced inserts left their events unstamped: every event
+    # either belongs to the traced request or carries no id at all.
+    assert {e.get("trace_id") for e in events} == {None, TRACE_ID}
+    untraced = [e for e in events if "trace_id" not in e]
+    assert {"mutation", "ref-check", "wal"} <= {e["event"] for e in untraced}
 
 
 def test_readyz_ready_while_serving(tmp_path):
@@ -199,18 +207,23 @@ def test_monitor_cli_once(traced_server, capsys):
     assert "restrict-delete" in out
 
 
-def test_client_trace_id_on_success_and_generated_ids(traced_server):
-    st, _ = traced_server
+def test_traced_group_commit_barrier_carries_the_trace_id(traced_server):
+    st, trace_path = traced_server
+    trace_id = new_trace_id()
     with Client(port=st.port, timeout=30) as c:
         c.call(
             "insert",
-            trace_id="my-id",
+            span_ctx=encode_context(trace_id, new_span_id()),
             scheme="COURSE",
             row={"C.NR": "cx"},
         )
-        assert c.last_trace_id == "my-id"
+        assert c.last_trace_id == trace_id
         c.get("COURSE", "cx")
-        generated = c.last_trace_id
-        assert generated and generated != "my-id"
-        with pytest.raises(Exception):
-            c.call("get", trace_id=7, scheme="COURSE", pk=["cx"])
+        assert c.last_trace_id is None
+    st.stop()
+    with open(trace_path) as f:
+        events = read_jsonl(f)
+    stamped = [e for e in events if e.get("trace_id") == trace_id]
+    # The mutation, its WAL append and the barrier that made it durable.
+    assert {"mutation", "wal"} <= {e["event"] for e in stamped}
+    assert any(e.get("op") == "group-commit" for e in stamped)
