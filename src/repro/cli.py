@@ -596,12 +596,12 @@ def resolve_workers(workers: int | None) -> int | None:
 
 def _parse_target(target: str) -> tuple[str, int]:
     """``HOST:PORT`` (or bare ``PORT``) as a connectable address."""
-    host, _, port_text = target.rpartition(":")
+    from repro.server.protocol import parse_target
+
     try:
-        port = int(port_text)
-    except ValueError:
-        raise CliError(f"target must be HOST:PORT, got {target!r}")
-    return host or "127.0.0.1", port
+        return parse_target(target)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -626,6 +626,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise CliError("--span-sample must be between 0 and 1")
     if args.slow_ms is not None and args.span_sink is None:
         raise CliError("--slow-ms requires --span-sink")
+    if args.replicate_from:
+        _parse_target(args.replicate_from)
     workers = resolve_workers(args.workers)
     if workers and args.worker_index is None:
         args.workers = workers
@@ -789,59 +791,44 @@ def _serve_fleet(args: argparse.Namespace) -> int:
 
 def _fleet_replication_targets(target: str, workers: int) -> list[str]:
     """Per-worker ``HOST:PORT`` targets for a replica fleet: ask the
-    primary fleet for its topology and pair shards index for index."""
-    from repro.client import Client
+    primary fleet for its shard map and pair shards index for index."""
+    from repro.client import ShardedClient
 
     host, port = _parse_target(target)
     try:
-        with Client(host=host, port=port, timeout=30.0) as client:
-            topo = client.call("topology")
+        with ShardedClient(host=host, port=port, timeout=30.0) as primary:
+            shard_map = primary.shard_map
     except OSError as exc:
         raise CliError(f"cannot reach primary {target}: {exc}")
-    primary_workers = int(topo.get("workers", 1) or 1)
-    if primary_workers != workers:
+    if shard_map.n_shards != workers:
         raise CliError(
             f"replica fleet has {workers} worker(s) but the primary at "
-            f"{target} has {primary_workers}; shard counts must match so "
-            "each replica shard mirrors exactly one primary shard"
+            f"{target} has {shard_map.n_shards}; shard counts must match "
+            "so each replica shard mirrors exactly one primary shard"
         )
-    ports = [int(p) for p in topo.get("ports") or ()]
-    primary_host = str(topo.get("host") or host)
-    if not ports:
-        # A plain single-process primary: one worker, one address.
-        return [f"{host}:{port}"]
-    return [f"{primary_host}:{p}" for p in ports]
+    # Every worker listens on the host its fleet's shared port does.
+    return [f"{host}:{p}" for p in shard_map.ports or [port]]
 
 
 def cmd_promote(args: argparse.Namespace) -> int:
     """``promote``: turn a replica (or every shard of a replica fleet)
     into a read-write primary."""
-    from repro.client import Client
+    from repro.client import ShardedClient
 
     host, port = _parse_target(args.target)
     try:
-        with Client(host=host, port=port, timeout=args.timeout) as client:
-            topo = client.call("topology")
-            workers = int(topo.get("workers", 1) or 1)
-            ports = [int(p) for p in topo.get("ports") or ()]
-            if workers <= 1 or not ports:
-                result = client.call("promote")
-                print(
-                    f"promoted: {result['was']} -> {result['role']} "
-                    f"(applied lsn {result['applied_lsn']})"
-                )
-                return 0
-        for index, worker_port in enumerate(ports):
-            with Client(
-                host=host, port=worker_port, timeout=args.timeout
-            ) as client:
-                result = client.call("promote")
-            print(
-                f"worker {index}: {result['was']} -> {result['role']} "
-                f"(applied lsn {result['applied_lsn']})"
-            )
+        with ShardedClient(
+            host=host, port=port, timeout=args.timeout
+        ) as client:
+            results = client.promote()
     except OSError as exc:
         raise CliError(f"cannot reach {args.target}: {exc}")
+    for index, result in enumerate(results):
+        prefix = f"worker {index}" if len(results) > 1 else "promoted"
+        print(
+            f"{prefix}: {result['was']} -> {result['role']} "
+            f"(applied lsn {result['applied_lsn']})"
+        )
     return 0
 
 
@@ -911,19 +898,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     """
     import time
 
-    from repro.client import Client
+    from repro.client import ShardedClient
     from repro.obs.monitor import (
         CLEAR,
         render_dashboard,
         render_fleet_dashboard,
     )
 
-    host, _, port_text = args.target.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise CliError(f"target must be HOST:PORT, got {args.target!r}")
-    host = host or "127.0.0.1"
+    host, port = _parse_target(args.target)
     if args.interval <= 0:
         raise CliError("--interval must be positive")
     count = 1 if args.once else args.count
@@ -936,46 +918,26 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         sys.stdout.flush()
 
     try:
-        with Client(host=host, port=port, timeout=30) as client:
-            try:
-                topo = client.call("topology")
-            except Exception:
-                topo = {}  # pre-topology server: plain dashboard
-            workers = int(topo.get("workers", 1) or 1)
-            ports = [int(p) for p in topo.get("ports", ())]
-            if workers > 1 and ports:
-                fleet = [
-                    Client(host=host, port=p, timeout=30) for p in ports
-                ]
-                try:
-                    prev_snaps = None
-                    frames = 0
-                    while True:
-                        snaps = [c.call("stats") for c in fleet]
-                        paint(
-                            render_fleet_dashboard(
-                                snaps, prev_snaps, args.interval, title=title
-                            )
-                        )
-                        frames += 1
-                        prev_snaps = snaps
-                        if count and frames >= count:
-                            return 0
-                        time.sleep(args.interval)
-                finally:
-                    for c in fleet:
-                        c.close()
+        with ShardedClient(host=host, port=port, timeout=30) as client:
             prev = None
             frames = 0
             while True:
-                cur = client.call("stats")
-                paint(render_dashboard(cur, prev, args.interval, title=title))
+                snaps = client.stats()
+                if client.n_shards > 1:
+                    frame = render_fleet_dashboard(
+                        snaps, prev, args.interval, title=title
+                    )
+                else:
+                    frame = render_dashboard(
+                        snaps[0], prev and prev[0], args.interval, title=title
+                    )
+                paint(frame)
                 frames += 1
-                prev = cur
+                prev = snaps
                 if count and frames >= count:
                     return 0
                 time.sleep(args.interval)
-    except (ConnectionError, OSError) as exc:
+    except OSError as exc:
         raise CliError(f"cannot reach {host}:{port}: {exc}")
     except KeyboardInterrupt:
         return 0
@@ -1045,28 +1007,14 @@ def _live_spans(target: str, timeout: float) -> list[dict]:
     """Collect the span ring buffer of a live server -- or of every
     worker, when ``target`` is a fleet's shared port -- via the
     ``spans`` verb."""
-    from repro.client import Client
+    from repro.client import ShardedClient
 
     host, port = _parse_target(target)
-    collected: list[dict] = []
     try:
-        with Client(host=host, port=port, timeout=timeout) as client:
-            try:
-                topo = client.call("topology")
-            except Exception:
-                topo = {}
-            ports = [int(p) for p in topo.get("ports") or ()]
-            if int(topo.get("workers", 1) or 1) > 1 and ports:
-                for worker_port in ports:
-                    with Client(
-                        host=host, port=worker_port, timeout=timeout
-                    ) as worker:
-                        collected.extend(worker.spans()["spans"])
-            else:
-                collected.extend(client.spans()["spans"])
+        with ShardedClient(host=host, port=port, timeout=timeout) as client:
+            return [span for ring in client.spans() for span in ring["spans"]]
     except OSError as exc:
         raise CliError(f"cannot reach {target}: {exc}")
-    return collected
 
 
 # -- parser ---------------------------------------------------------------

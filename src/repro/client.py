@@ -1,10 +1,18 @@
-"""A blocking client for the JSON-lines server (``repro.server``).
+"""Blocking clients for the JSON-lines server (``repro.server``).
 
 One :class:`Client` is one TCP connection and one outstanding request
 at a time -- the deliberately simple synchronous counterpart to the
 asyncio server.  Concurrency comes from many clients (one per thread or
 process), which is exactly the shape the server's group-commit path is
 built for.
+
+Every verb is written once, on :class:`Client`: it encodes its
+parameters, hands the request to :meth:`Client._route`, and decodes the
+result.  A plain client routes everything down its own connection.
+:class:`ReplicatedClient` (writes to a primary, reads from replicas) and
+:class:`ShardedClient` (each row to the worker owning it) differ only in
+that routing step; their connections to each server are plain
+:class:`Client`\\ s, so every round trip is one :meth:`Client.call`.
 
 Rows and primary keys travel in the engine's own value encoding
 (``NULL`` as the ``{"$null": true}`` marker), so what a method returns
@@ -42,6 +50,7 @@ from repro.server.protocol import (
     encode_frame,
     encode_pk,
     encode_row,
+    parse_target,
     raise_error,
     request_frame,
 )
@@ -58,6 +67,22 @@ __all__ = [
     "RemoteConstraintViolation",
     "RemoteError",
 ]
+
+#: How long a replica read waits for the replica to apply this
+#: client's own latest write before it falls back to the primary.
+CATCHUP_TIMEOUT_S = 5.0
+
+# What a request's answer depends on -- all a routing step needs to
+# know besides the verb (see :meth:`Client._route`).
+WRITE = "write"  # a mutation: of the rows in ``ops``, or of the schema
+KEY = "key"  # the row under the request's ``scheme`` and ``pk``
+STATE = "state"  # every row of the database
+SCHEMA = "schema"  # the schema alone: every server answers alike
+EXISTS = "exists"  # whether any server holds a value
+SERVER = "server"  # the server that answers it
+
+#: Batch verbs answer one row per op; the other mutations one row.
+_BATCH_VERBS = ("insert_many", "apply_batch")
 
 
 def _wire_pk(pk: Any) -> list:
@@ -83,6 +108,10 @@ def _wire_ops(ops: Iterable[tuple]) -> list[list]:
         else:
             raise ValueError(f"not a valid batch op: {op!r}")
     return wire
+
+
+def _maybe_row(row: Any) -> dict[str, Any] | None:
+    return decode_row(row) if row is not None else None
 
 
 class Client:
@@ -116,7 +145,7 @@ class Client:
         #: The WAL ``lsn`` of this connection's most recent acknowledged
         #: mutation (0 before the first one) -- the watermark
         #: :class:`ReplicatedClient` waits for on a replica before a
-        #: read-your-writes read (see ``docs/REPLICATION.md``).
+        #: read (see ``docs/REPLICATION.md``).
         self.last_lsn: int = 0
 
     # -- plumbing --------------------------------------------------------
@@ -196,41 +225,72 @@ class Client:
             self.last_lsn = lsn
         return frame.get("result")
 
+    def _route(
+        self,
+        verb: str,
+        params: dict[str, Any],
+        scope: str,
+        ops: list[list] | None = None,
+    ) -> Any:
+        """Send one request where it belongs; its raw result.
+
+        ``scope`` says what the answer depends on (:data:`WRITE`,
+        :data:`KEY`, ...) and ``ops`` lists a row mutation's wire-form
+        batch ops.  One server holds everything, so a plain client
+        sends every request down its own connection.
+        """
+        return self.call(verb, **params)
+
     # -- mutations -------------------------------------------------------
 
     def insert(
         self, scheme: str, row: Mapping[str, Any]
     ) -> dict[str, Any]:
         """Insert one row; returns the stored row."""
+        wire = encode_row(row)
         return decode_row(
-            self.call("insert", scheme=scheme, row=encode_row(row))
+            self._route(
+                "insert",
+                {"scheme": scheme, "row": wire},
+                WRITE,
+                [["insert", scheme, wire]],
+            )
         )
 
     def update(
         self, scheme: str, pk: Any, updates: Mapping[str, Any]
     ) -> dict[str, Any]:
         """Update one row by primary key; returns the updated row."""
+        wire_pk, wire = _wire_pk(pk), encode_row(updates)
         return decode_row(
-            self.call(
+            self._route(
                 "update",
-                scheme=scheme,
-                pk=_wire_pk(pk),
-                updates=encode_row(updates),
+                {"scheme": scheme, "pk": wire_pk, "updates": wire},
+                WRITE,
+                [["update", scheme, wire_pk, wire]],
             )
         )
 
     def delete(self, scheme: str, pk: Any) -> None:
         """Delete one row by primary key."""
-        self.call("delete", scheme=scheme, pk=_wire_pk(pk))
+        wire_pk = _wire_pk(pk)
+        self._route(
+            "delete",
+            {"scheme": scheme, "pk": wire_pk},
+            WRITE,
+            [["delete", scheme, wire_pk]],
+        )
 
     def insert_many(
         self, scheme: str, rows: Sequence[Mapping[str, Any]]
     ) -> list[dict[str, Any]]:
         """Insert many rows of one scheme atomically."""
-        result = self.call(
+        wire = [encode_row(r) for r in rows]
+        result = self._route(
             "insert_many",
-            scheme=scheme,
-            rows=[encode_row(r) for r in rows],
+            {"scheme": scheme, "rows": wire},
+            WRITE,
+            [["insert", scheme, w] for w in wire],
         )
         return [decode_row(r) for r in result]
 
@@ -238,71 +298,9 @@ class Client:
         """Apply a mixed mutation batch atomically (engine-style op
         tuples: ``("insert", scheme, row)``, ``("update", scheme, pk,
         updates)``, ``("delete", scheme, pk)``)."""
-        result = self.call("apply_batch", ops=_wire_ops(ops))
-        return [decode_row(r) if r is not None else None for r in result]
-
-    # -- reads -----------------------------------------------------------
-
-    def get(self, scheme: str, pk: Any) -> dict[str, Any] | None:
-        """Primary-key lookup; ``None`` when absent."""
-        result = self.call("get", scheme=scheme, pk=_wire_pk(pk))
-        return decode_row(result) if result is not None else None
-
-    def join_to(
-        self,
-        scheme: str,
-        pk: Any,
-        via: Sequence[str],
-        target_scheme: str,
-        target_attrs: Sequence[str] | None = None,
-    ) -> dict[str, Any] | None:
-        """Navigate a foreign key from the row under ``pk``."""
-        result = self.call(
-            "join_to",
-            scheme=scheme,
-            pk=_wire_pk(pk),
-            via=list(via),
-            target_scheme=target_scheme,
-            target_attrs=list(target_attrs) if target_attrs else None,
-        )
-        return decode_row(result) if result is not None else None
-
-    def find_referencing(
-        self,
-        scheme: str,
-        pk: Any,
-        source_scheme: str,
-        via: Sequence[str],
-        target_attrs: Sequence[str],
-    ) -> list[dict[str, Any]]:
-        """All rows of ``source_scheme`` referencing the row under
-        ``pk``."""
-        result = self.call(
-            "find_referencing",
-            scheme=scheme,
-            pk=_wire_pk(pk),
-            source_scheme=source_scheme,
-            via=list(via),
-            target_attrs=list(target_attrs),
-        )
-        return [decode_row(r) for r in result]
-
-    def check(self) -> dict[str, Any]:
-        """Full-state consistency check:
-        ``{"consistent": bool, "violations": [...]}``."""
-        return self.call("check")
-
-    def explain(self, op: str, scheme: str) -> dict[str, Any]:
-        """The enforcement plan EXPLAIN dict for ``op`` on ``scheme``."""
-        return self.call("explain", op=op, scheme=scheme)
-
-    def advise(self, strategy: str | None = None) -> dict[str, Any]:
-        """The merge advisor's report over the server's mined workload
-        counters: candidate families with Section 5 verdicts and
-        workload scores, the ``recommendation`` (or ``None``), and the
-        EXPLAIN text."""
-        params = {"strategy": strategy} if strategy is not None else {}
-        return self.call("advise", **params)
+        wire = _wire_ops(ops)
+        result = self._route("apply_batch", {"ops": wire}, WRITE, wire)
+        return [_maybe_row(r) for r in result]
 
     def apply_merge(
         self,
@@ -323,83 +321,144 @@ class Client:
                 params["merged_name"] = merged_name
         elif strategy is not None:
             params["strategy"] = strategy
-        return self.call("apply_merge", **params)
+        return self._route("apply_merge", params, WRITE)
+
+    # -- reads -----------------------------------------------------------
+
+    def get(self, scheme: str, pk: Any) -> dict[str, Any] | None:
+        """Primary-key lookup; ``None`` when absent."""
+        return _maybe_row(
+            self._route("get", {"scheme": scheme, "pk": _wire_pk(pk)}, KEY)
+        )
+
+    def exists(
+        self, scheme: str, attrs: Sequence[str], value: Sequence[Any]
+    ) -> bool:
+        """Whether a row of ``scheme`` carries ``value`` under
+        ``attrs``."""
+        params = {
+            "scheme": scheme,
+            "attrs": list(attrs),
+            "value": encode_pk(tuple(value)),
+        }
+        return self._route("exists", params, EXISTS)["exists"]
+
+    def join_to(
+        self,
+        scheme: str,
+        pk: Any,
+        via: Sequence[str],
+        target_scheme: str,
+        target_attrs: Sequence[str] | None = None,
+    ) -> dict[str, Any] | None:
+        """Navigate a foreign key from the row under ``pk``."""
+        params = {
+            "scheme": scheme,
+            "pk": _wire_pk(pk),
+            "via": list(via),
+            "target_scheme": target_scheme,
+            "target_attrs": list(target_attrs) if target_attrs else None,
+        }
+        return _maybe_row(self._route("join_to", params, STATE))
+
+    def find_referencing(
+        self,
+        scheme: str,
+        pk: Any,
+        source_scheme: str,
+        via: Sequence[str],
+        target_attrs: Sequence[str],
+    ) -> list[dict[str, Any]]:
+        """All rows of ``source_scheme`` referencing the row under
+        ``pk``."""
+        params = {
+            "scheme": scheme,
+            "pk": _wire_pk(pk),
+            "source_scheme": source_scheme,
+            "via": list(via),
+            "target_attrs": list(target_attrs),
+        }
+        result = self._route("find_referencing", params, STATE)
+        return [decode_row(r) for r in result]
+
+    def check(self) -> dict[str, Any]:
+        """Full-state consistency check:
+        ``{"consistent": bool, "violations": [...]}``."""
+        return self._route("check", {}, STATE)
+
+    def explain(self, op: str, scheme: str) -> dict[str, Any]:
+        """The enforcement plan EXPLAIN dict for ``op`` on ``scheme``."""
+        return self._route("explain", {"op": op, "scheme": scheme}, SCHEMA)
+
+    # -- per server (a fleet answers one per worker) ---------------------
+
+    def advise(self, strategy: str | None = None) -> dict[str, Any]:
+        """The merge advisor's report over the server's mined workload
+        counters: candidate families with Section 5 verdicts and
+        workload scores, the ``recommendation`` (or ``None``), and the
+        EXPLAIN text."""
+        params = {"strategy": strategy} if strategy is not None else {}
+        return self._route("advise", params, SERVER)
 
     def metrics(self) -> str:
         """The server's Prometheus text exposition."""
-        return self.call("metrics")
+        return self._route("metrics", {}, SERVER)
 
     def stats(self) -> dict[str, Any]:
         """The server's :meth:`EngineStats.snapshot` dict."""
-        return self.call("stats")
+        return self._route("stats", {}, SERVER)
 
     def spans(self, limit: int | None = None) -> dict[str, Any]:
         """The server's span-sink ring buffer (oldest first) plus its
         depth/dropped/exported/sample counters; empty with no sink
         configured."""
         params = {"limit": limit} if limit is not None else {}
-        return self.call("spans", **params)
-
-    # -- replication -----------------------------------------------------
+        return self._route("spans", params, SERVER)
 
     def repl_status(self) -> dict[str, Any]:
         """Where this server stands in the replication topology:
         ``{"role", "applied_lsn", "durable_lsn", "primary",
         "replicas"}``."""
-        return self.call("repl_status")
+        return self._route("repl_status", {}, SERVER)
 
     def promote(self) -> dict[str, Any]:
         """Turn a replica into a read-write primary (idempotent on a
         primary): ``{"was", "role", "applied_lsn"}``."""
-        return self.call("promote")
+        return self._route("promote", {}, SERVER)
 
 
-def _split_target(target: str | tuple[str, int]) -> tuple[str, int]:
-    """``HOST:PORT`` (or a ``(host, port)`` pair) as a connect address."""
-    if isinstance(target, tuple):
-        return target[0] or "127.0.0.1", int(target[1])
-    host, _, port_text = str(target).rpartition(":")
-    return host or "127.0.0.1", int(port_text)
+class ReplicatedClient(Client):
+    """A client of a primary/replica pair (or set): mutations and
+    per-server verbs go to the primary, reads round-robin across the
+    replicas, so read load scales out without touching the write path
+    (see ``docs/REPLICATION.md``).
 
+    Replication is asynchronous, so a replica may serve a state behind
+    the primary's.  Each read therefore first waits (up to
+    :data:`CATCHUP_TIMEOUT_S`) until the chosen replica's
+    ``applied_lsn`` has reached the ``lsn`` of this client's own latest
+    acknowledged mutation: the session always observes its own writes.
+    A replica that cannot catch up in time, or is unreachable, leaves
+    the read to the primary.
 
-class ReplicatedClient:
-    """A client of a primary/replica pair (or set): mutations go to the
-    primary, reads round-robin across the replicas, so read load scales
-    out without touching the write path (see ``docs/REPLICATION.md``).
-
-    Replication is asynchronous from the reader's point of view -- a
-    replica may serve a state slightly behind the primary's.  With
-    ``read_your_writes=True`` each read first waits (bounded by
-    ``catchup_timeout``) until the chosen replica's ``applied_lsn`` has
-    reached the ``lsn`` of this client's own latest acknowledged
-    mutation, so the session always observes its own writes; if the
-    replica cannot catch up in time (or is unreachable), the read falls
-    back to the primary.
-
-    :meth:`promote` fails the pair over client-side: it promotes one
-    replica and re-points this client's writes at it.
+    :meth:`promote` fails the pair over client-side: it promotes the
+    first replica and re-points this client's writes at it.
 
     One instance is one logical connection: not thread-safe.
     """
 
     def __init__(
         self,
-        primary: str | tuple[str, int],
-        replicas: Sequence[str | tuple[str, int]] = (),
+        primary: str,
+        replicas: Sequence[str] = (),
         timeout: float | None = None,
-        read_your_writes: bool = False,
-        catchup_timeout: float = 5.0,
     ):
         self._timeout = timeout
-        self.read_your_writes = read_your_writes
-        self.catchup_timeout = catchup_timeout
-        self._replica_targets = [_split_target(t) for t in replicas]
+        self._replica_targets = [parse_target(t) for t in replicas]
         self._replica_clients: dict[int, Client] = {}
         self._rr = 0
-        host, port = _split_target(primary)
+        host, port = parse_target(primary)
         self._primary = Client(host=host, port=port, timeout=timeout)
-
-    # -- plumbing --------------------------------------------------------
 
     def close(self) -> None:
         """Close the primary and every replica connection."""
@@ -407,12 +466,6 @@ class ReplicatedClient:
         for client in self._replica_clients.values():
             client.close()
         self._replica_clients.clear()
-
-    def __enter__(self) -> "ReplicatedClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def last_lsn(self) -> int:
@@ -429,8 +482,8 @@ class ReplicatedClient:
 
     def _await_applied(self, client: Client, lsn: int) -> bool:
         """Wait until ``client``'s server has applied ``lsn`` (True) or
-        ``catchup_timeout`` elapses (False)."""
-        deadline = time.monotonic() + self.catchup_timeout
+        :data:`CATCHUP_TIMEOUT_S` elapses (False)."""
+        deadline = time.monotonic() + CATCHUP_TIMEOUT_S
         while True:
             status = client.call("repl_status")
             if (
@@ -442,19 +495,21 @@ class ReplicatedClient:
                 return False
             time.sleep(0.005)
 
-    def _read(self, verb: str, **params: Any) -> Any:
-        """One read, preferring a replica; the primary is the fallback
-        for an unreachable or persistently-lagging replica."""
+    def _route(self, verb, params, scope, ops=None):
+        """Mutations and per-server verbs to the primary; ``promote``
+        fails over to the first replica; every read to a replica."""
+        if verb == "promote":
+            return self._fail_over()
+        if scope in (WRITE, SERVER):
+            return self._primary.call(verb, **params)
         for _ in range(len(self._replica_targets)):
             index = self._rr
             self._rr = (self._rr + 1) % len(self._replica_targets)
             try:
                 client = self._replica_client(index)
-                if self.read_your_writes and self._primary.last_lsn:
-                    if not self._await_applied(
-                        client, self._primary.last_lsn
-                    ):
-                        continue
+                lsn = self._primary.last_lsn
+                if lsn and not self._await_applied(client, lsn):
+                    continue
                 return client.call(verb, **params)
             except (OSError, ConnectionError):
                 dead = self._replica_clients.pop(index, None)
@@ -462,111 +517,53 @@ class ReplicatedClient:
                     dead.close()
         return self._primary.call(verb, **params)
 
-    # -- mutations (primary) ---------------------------------------------
-
-    def insert(self, scheme: str, row: Mapping[str, Any]) -> dict[str, Any]:
-        """Insert one row on the primary."""
-        return self._primary.insert(scheme, row)
-
-    def update(
-        self, scheme: str, pk: Any, updates: Mapping[str, Any]
-    ) -> dict[str, Any]:
-        """Update one row by primary key on the primary."""
-        return self._primary.update(scheme, pk, updates)
-
-    def delete(self, scheme: str, pk: Any) -> None:
-        """Delete one row by primary key on the primary."""
-        self._primary.delete(scheme, pk)
-
-    def insert_many(
-        self, scheme: str, rows: Sequence[Mapping[str, Any]]
-    ) -> list[dict[str, Any]]:
-        """Insert many rows of one scheme atomically on the primary."""
-        return self._primary.insert_many(scheme, rows)
-
-    def apply_batch(self, ops: Iterable[tuple]) -> list[dict[str, Any] | None]:
-        """Apply a mixed mutation batch atomically on the primary."""
-        return self._primary.apply_batch(ops)
-
-    # -- reads (replicas) ------------------------------------------------
-
-    def get(self, scheme: str, pk: Any) -> dict[str, Any] | None:
-        """Primary-key lookup on a replica."""
-        result = self._read("get", scheme=scheme, pk=_wire_pk(pk))
-        return decode_row(result) if result is not None else None
-
-    def join_to(
-        self,
-        scheme: str,
-        pk: Any,
-        via: Sequence[str],
-        target_scheme: str,
-        target_attrs: Sequence[str] | None = None,
-    ) -> dict[str, Any] | None:
-        """Reference-following join on a replica."""
-        params: dict[str, Any] = dict(
-            scheme=scheme,
-            pk=_wire_pk(pk),
-            via=list(via),
-            target_scheme=target_scheme,
-        )
-        if target_attrs is not None:
-            params["target_attrs"] = list(target_attrs)
-        result = self._read("join_to", **params)
-        return decode_row(result) if result is not None else None
-
-    def check(self) -> dict[str, Any]:
-        """Full-state consistency check on a replica."""
-        return self._read("check")
-
-    # -- failover --------------------------------------------------------
-
-    def promote(self, index: int = 0) -> dict[str, Any]:
-        """Promote replica ``index`` and re-point this client's writes
+    def _fail_over(self) -> dict[str, Any]:
+        """Promote the first replica and re-point this client's writes
         at it (the old primary connection is dropped; use after the
         primary has died)."""
-        client = self._replica_client(index)
-        result = client.promote()
+        client = self._replica_client(0)
+        result = client.call("promote")
         try:
             self._primary.close()
         except OSError:
             pass
         self._primary = client
-        del self._replica_targets[index]
+        del self._replica_targets[0]
         # Re-key the cached connections around the removed slot.
-        survivors = {
-            (i if i < index else i - 1): c
-            for i, c in self._replica_clients.items()
-            if i != index
+        self._replica_clients = {
+            i - 1: c for i, c in self._replica_clients.items() if i != 0
         }
-        self._replica_clients = survivors
         self._rr = 0
         return result
 
 
-class ShardedClient:
+class ShardedClient(Client):
     """The shard-aware client of a ``repro serve --workers N`` fleet.
 
     Connecting to the fleet's shared port, it asks ``topology`` for the
-    shard map, then opens one direct connection per worker (lazily) and
-    routes every request to the worker owning its primary key
-    (:mod:`repro.server.router`).  Pointed at a plain single-process
-    server it degrades to a thin wrapper over :class:`Client`.
+    shard map, then opens one direct connection per worker (lazily, on
+    the host it was given: every worker listens where the shared port
+    does).  Pointed at a plain single-process server it is a one-shard
+    fleet.  How each request is routed is set out in
+    ``docs/SERVER.md`` (Routing):
 
-    Mutation routing splits two ways:
-
-    * A mutation whose constraint checks are provably shard-local --
-      an insert into a scheme with no outgoing references, a delete
-      from a scheme nothing references, a single-shard ``insert_many``
-      of an unreferencing scheme -- is sent as the ordinary verb and
-      rides the owning worker's group-commit path at full speed.
+    * A mutation goes to one worker as its own verb when all its ops
+      land on one shard and none of their checks can reach another:
+      the map has one shard, or no op's scheme has an inclusion
+      dependency in the direction the op checks (out of it for an
+      insert, into it for a delete, either for an update).
     * Everything else uses the two-phase protocol: ``batch_prepare`` on
       every involved worker (in worker-id order, which makes concurrent
-      sharded writers deadlock-free), then ``exists`` probes across the
+      sharded writers deadlock-free), ``exists`` probes across the
       fleet for the requirements no single shard could verify, then
       ``batch_commit`` everywhere -- or ``batch_abort`` everywhere,
-      which is what makes a cross-shard constraint violation reject the
-      whole batch atomically.
+      which is what makes a cross-shard constraint violation reject
+      the whole batch atomically.
+    * A per-server verb (``stats``, ``spans``, ``promote``, ...)
+      answers a list, one entry per worker; the verbs that need the
+      whole database (``join_to``, ``find_referencing``, ``check``,
+      ``apply_merge``) raise :class:`NotImplementedError` on a fleet
+      rather than answer from one shard.
 
     One instance is one logical connection: not thread-safe, one
     outstanding logical request at a time.
@@ -579,6 +576,7 @@ class ShardedClient:
         timeout: float | None = None,
         span_sink: SpanSink | None = None,
     ):
+        self._host = host
         self._timeout = timeout
         #: Client-side span sink, shared by every per-shard connection;
         #: two-phase batches additionally get a ``router:2pc`` span
@@ -590,7 +588,6 @@ class ShardedClient:
         except BaseException:
             bootstrap.close()
             raise
-        self._host = self.shard_map.host or host
         self._clients: dict[int, Client] = {}
         if not self.shard_map.ports:
             # A plain server: everything lives behind this connection.
@@ -598,19 +595,11 @@ class ShardedClient:
         else:
             bootstrap.close()
 
-    # -- plumbing --------------------------------------------------------
-
     def close(self) -> None:
         """Close every per-shard connection."""
         for client in self._clients.values():
             client.close()
         self._clients.clear()
-
-    def __enter__(self) -> "ShardedClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def n_shards(self) -> int:
@@ -630,93 +619,62 @@ class ShardedClient:
             self._clients[shard] = client
         return client
 
-    def _owner(self, scheme: str, pk: Any) -> int:
-        return self.shard_map.shard_of_pk(scheme, _wire_pk(pk))
-
-    # -- mutations -------------------------------------------------------
-
-    def insert(self, scheme: str, row: Mapping[str, Any]) -> dict[str, Any]:
-        """Insert one row (routed; two-phase only when the scheme has
-        outgoing references another shard may have to satisfy)."""
-        wire = encode_row(row)
-        if not self.shard_map.refs_out.get(scheme, True):
-            shard = self.shard_map.shard_of_row(scheme, wire)
-            return decode_row(
-                self.shard_client(shard).call(
-                    "insert", scheme=scheme, row=wire
-                )
+    def _route(self, verb, params, scope, ops=None):
+        """Route by the request's scope, as the class docstring says."""
+        shard_map = self.shard_map
+        if scope == WRITE and ops is not None:
+            groups = group_ops_by_shard(shard_map, ops)
+            if len(groups) == 1 and (
+                shard_map.n_shards == 1 or all(map(self._local, ops))
+            ):
+                (shard,) = groups
+                return self.shard_client(shard).call(verb, **params)
+            rows = self._two_phase(ops, groups)
+            return rows if verb in _BATCH_VERBS else rows[0]
+        if scope == KEY:
+            shard = shard_map.shard_of_pk(params["scheme"], params["pk"])
+            return self.shard_client(shard).call(verb, **params)
+        if scope == EXISTS:
+            return {"exists": self._exists_any(params)}
+        if scope == SERVER:
+            return [
+                self.shard_client(s).call(verb, **params)
+                for s in shard_map.shards()
+            ]
+        if scope != SCHEMA and shard_map.n_shards > 1:
+            raise NotImplementedError(
+                f"{verb} needs the whole database, and each of the "
+                f"{shard_map.n_shards} workers holds one shard of it; "
+                "ask a plain server, or each worker directly"
             )
-        results = self._two_phase([["insert", scheme, wire]])
-        assert results[0] is not None
-        return results[0]
+        return self.shard_client(0).call(verb, **params)
 
-    def update(
-        self, scheme: str, pk: Any, updates: Mapping[str, Any]
-    ) -> dict[str, Any]:
-        """Update one row by primary key."""
-        if not self.shard_map.refs_out.get(
+    def _local(self, op: Sequence[Any]) -> bool:
+        """Whether no inclusion dependency checked by ``op`` can reach
+        a row on another shard."""
+        kind, scheme = op[0], op[1]
+        if kind != "delete" and self.shard_map.refs_out.get(scheme, True):
+            return False
+        return kind == "insert" or not self.shard_map.refs_in.get(
             scheme, True
-        ) and not self.shard_map.refs_in.get(scheme, True):
-            return decode_row(
-                self.shard_client(self._owner(scheme, pk)).call(
-                    "update",
-                    scheme=scheme,
-                    pk=_wire_pk(pk),
-                    updates=encode_row(updates),
-                )
-            )
-        results = self._two_phase(
-            [["update", scheme, _wire_pk(pk), encode_row(updates)]]
         )
-        assert results[0] is not None
-        return results[0]
 
-    def delete(self, scheme: str, pk: Any) -> None:
-        """Delete one row by primary key (two-phase when other shards
-        may hold rows referencing it)."""
-        if not self.shard_map.refs_in.get(scheme, True):
-            self.shard_client(self._owner(scheme, pk)).call(
-                "delete", scheme=scheme, pk=_wire_pk(pk)
-            )
-            return
-        self._two_phase([["delete", scheme, _wire_pk(pk)]])
-
-    def insert_many(
-        self, scheme: str, rows: Sequence[Mapping[str, Any]]
-    ) -> list[dict[str, Any]]:
-        """Insert many rows of one scheme atomically (per batch: a
-        multi-shard batch uses the two-phase protocol so rejection
-        stays all-or-nothing)."""
-        wire_rows = [encode_row(r) for r in rows]
-        if not self.shard_map.refs_out.get(scheme, True):
-            by_shard: dict[int, list[int]] = {}
-            for i, w in enumerate(wire_rows):
-                by_shard.setdefault(
-                    self.shard_map.shard_of_row(scheme, w), []
-                ).append(i)
-            if len(by_shard) == 1:
-                ((shard, _),) = by_shard.items()
-                result = self.shard_client(shard).call(
-                    "insert_many", scheme=scheme, rows=wire_rows
-                )
-                return [decode_row(r) for r in result]
-        results = self._two_phase(
-            [["insert", scheme, w] for w in wire_rows]
+    def _exists_any(
+        self, params: dict[str, Any], span_ctx: str | None = None
+    ) -> bool:
+        """Whether any worker answers ``exists`` for ``params``."""
+        return any(
+            self.shard_client(s).call("exists", span_ctx=span_ctx, **params)[
+                "exists"
+            ]
+            for s in self.shard_map.shards()
         )
-        return [r for r in results if r is not None]
-
-    def apply_batch(
-        self, ops: Iterable[tuple]
-    ) -> list[dict[str, Any] | None]:
-        """Apply a mixed mutation batch atomically across shards
-        (engine-style op tuples, as :meth:`Client.apply_batch`)."""
-        return self._two_phase(_wire_ops(ops))
 
     def _two_phase(
-        self, wire_ops: list[list]
-    ) -> list[dict[str, Any] | None]:
-        """Prepare/probe/commit one batch across every involved shard."""
-        groups = group_ops_by_shard(self.shard_map, wire_ops)
+        self, wire_ops: list[list], groups: dict[int, list]
+    ) -> list[Any]:
+        """Prepare/probe/commit one batch across every involved shard;
+        the wire-form result row of each op, in request order."""
         shards = sorted(groups)  # worker-id order: deadlock-free
         xid = secrets.token_hex(16)
         root = router = None
@@ -751,15 +709,13 @@ class ShardedClient:
                     key = (scheme, tuple(attrs), tuple(map(repr, value)))
                     hit = probe_cache.get(key)
                     if hit is None:
-                        hit = any(
-                            self.shard_client(s).call(
-                                "exists",
-                                scheme=scheme,
-                                attrs=list(attrs),
-                                value=list(value),
-                                span_ctx=ctx,
-                            )["exists"]
-                            for s in self.shard_map.shards()
+                        hit = self._exists_any(
+                            {
+                                "scheme": scheme,
+                                "attrs": list(attrs),
+                                "value": list(value),
+                            },
+                            ctx,
                         )
                         probe_cache[key] = hit
                     return hit
@@ -780,7 +736,7 @@ class ShardedClient:
                     router.status = "aborted"
                 self._abort_all(prepared, xid, ctx)
                 raise
-            results: list[dict[str, Any] | None] = [None] * len(wire_ops)
+            results: list[Any] = [None] * len(wire_ops)
             failure: Exception | None = None
             for shard in prepared:
                 try:
@@ -791,9 +747,7 @@ class ShardedClient:
                     failure = failure or exc
                     continue
                 for (index, _op), row in zip(groups[shard], rows):
-                    results[index] = (
-                        decode_row(row) if row is not None else None
-                    )
+                    results[index] = row
             if failure is not None:
                 raise failure
             return results
@@ -812,32 +766,3 @@ class ShardedClient:
                 )
             except Exception:
                 pass  # its hold will expire; rejection already decided
-
-    # -- reads -----------------------------------------------------------
-
-    def get(self, scheme: str, pk: Any) -> dict[str, Any] | None:
-        """Primary-key lookup, routed to the owning worker."""
-        result = self.shard_client(self._owner(scheme, pk)).call(
-            "get", scheme=scheme, pk=_wire_pk(pk)
-        )
-        return decode_row(result) if result is not None else None
-
-    def exists(
-        self, scheme: str, attrs: Sequence[str], value: Sequence[Any]
-    ) -> bool:
-        """Whether any shard holds a row of ``scheme`` carrying
-        ``value`` under ``attrs``."""
-        wire = encode_pk(tuple(value))
-        return any(
-            self.shard_client(s).call(
-                "exists", scheme=scheme, attrs=list(attrs), value=wire
-            )["exists"]
-            for s in self.shard_map.shards()
-        )
-
-    def stats(self) -> list[dict[str, Any]]:
-        """Every worker's ``stats`` snapshot, in worker order."""
-        return [
-            self.shard_client(s).call("stats")
-            for s in self.shard_map.shards()
-        ]

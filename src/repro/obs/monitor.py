@@ -243,7 +243,8 @@ def render_fleet_dashboard(
     (worker id column) plus a ``fleet`` totals row.
 
     ``snapshots`` is the list of per-worker ``stats`` results in worker
-    order, as :meth:`repro.client.ShardedClient.stats` returns them.
+    order, as ``stats()`` on a :class:`repro.client.ShardedClient`
+    returns them (a per-server verb answers one entry per worker).
     ``prev_snapshots`` (same shape) enables throughput deltas, matched
     by worker id so a respawned fleet still renders.
     """

@@ -295,6 +295,19 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
     return frame
 
 
+def parse_target(target: str) -> tuple[str, int]:
+    """``HOST:PORT`` (or bare ``PORT``, meaning the loopback) as a
+    connect address; :class:`ValueError` names the expected form."""
+    host, _, port_text = target.rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = -1
+    if not 0 < port < 65536:
+        raise ValueError(f"target must be HOST:PORT, got {target!r}")
+    return host or "127.0.0.1", port
+
+
 def request_frame(id: Any, verb: str, **params: Any) -> dict[str, Any]:
     """A request frame (client side)."""
     frame = {"id": id, "verb": verb}

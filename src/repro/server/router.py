@@ -15,8 +15,9 @@ JSON rendering.  (``hash()`` is per-process randomized for strings and
 therefore useless across processes.)
 
 :class:`ShardMap` is the client-side picture of a fleet, built from a
-``topology`` response: how many workers there are, where they listen,
-and each scheme's key attributes (needed to route an insert by the key
+``topology`` response: how many workers there are, which port each
+listens on (on the host the fleet's shared port was reached at), and
+each scheme's key attributes (needed to route an insert by the key
 columns of its row).  The pure decision logic for cross-shard reference
 requirements (:func:`requirement_violation`) lives here too, so the
 client driver and the tests share one implementation.
@@ -57,7 +58,6 @@ class ShardMap:
 
     __slots__ = (
         "n_shards",
-        "host",
         "ports",
         "shared_port",
         "key_names",
@@ -68,7 +68,6 @@ class ShardMap:
     def __init__(
         self,
         n_shards: int,
-        host: str,
         ports: Sequence[int],
         key_names: Mapping[str, Sequence[str]],
         shared_port: int | None = None,
@@ -76,7 +75,6 @@ class ShardMap:
         refs_in: Mapping[str, bool] | None = None,
     ):
         self.n_shards = max(1, int(n_shards))
-        self.host = host
         self.ports = list(ports)
         self.shared_port = shared_port
         self.key_names = {k: tuple(v) for k, v in key_names.items()}
@@ -105,7 +103,6 @@ class ShardMap:
                 key_names[name] = entry
         return cls(
             n_shards=int(topo.get("workers", 1)),
-            host=str(topo.get("host", "127.0.0.1")),
             ports=[int(p) for p in topo.get("ports", ())],
             key_names=key_names,
             shared_port=topo.get("shared_port"),

@@ -42,6 +42,7 @@ from repro.server.protocol import (
     decode_frame,
     encode_frame,
     error_frame,
+    parse_target,
     raise_error,
     request_frame,
 )
@@ -129,6 +130,13 @@ class ReproServer:
     def __init__(self, db: Database, config: ServerConfig | None = None):
         self.db = db
         self.config = config or ServerConfig()
+        #: Where a replica tails its primary from; a malformed
+        #: ``replicate_from`` is refused here, before anything starts.
+        self._primary_address = (
+            parse_target(self.config.replicate_from)
+            if self.config.replicate_from
+            else None
+        )
         #: This process's span sink (``None`` unless configured); owned
         #: here -- closed at the end of drain, after the final spans.
         self.span_sink: SpanSink | None = None
@@ -388,15 +396,15 @@ class ReproServer:
         replica keeps serving reads from its last-applied state
         throughout.
         """
-        assert self.config.replicate_from is not None
-        host, _, port_s = self.config.replicate_from.rpartition(":")
+        assert self._primary_address is not None
+        host, port = self._primary_address
         service = self.service
         backoff = 0.2
         while not self._draining.is_set() and service.role == "replica":
             writer = None
             try:
                 reader, writer = await asyncio.open_connection(
-                    host or "127.0.0.1", int(port_s), limit=MAX_FRAME_BYTES
+                    host, port, limit=MAX_FRAME_BYTES
                 )
                 rpc_id = 0
 

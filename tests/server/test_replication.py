@@ -233,7 +233,6 @@ def test_read_your_writes_routes_through_replica():
                 f"127.0.0.1:{primary.port}",
                 [f"127.0.0.1:{replica.port}"],
                 timeout=30,
-                read_your_writes=True,
             ) as client:
                 client.insert("COURSE", {"C.NR": "mine"})
                 assert client.last_lsn > 0

@@ -432,3 +432,25 @@ def test_promote_unreachable_server_errors(capsys):
     with pytest.raises(SystemExit):
         main(["promote", f"127.0.0.1:{port}"])
     assert "cannot reach" in capsys.readouterr().err
+
+
+def test_serve_rejects_a_malformed_replicate_from(schema_file):
+    """Refused before the server starts -- not retried forever as an
+    unreachable primary.  Run as a process with a timeout, so a server
+    that does start fails the test instead of hanging it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "repro", "serve", schema_file]
+    command += ["--port", "0", "--replicate-from", "nope"]
+    proc = subprocess.run(
+        command, capture_output=True, text=True, timeout=30, env=env
+    )
+    assert proc.returncode == 2
+    assert "HOST:PORT" in proc.stderr
+    assert "listening on" not in proc.stdout
