@@ -18,12 +18,6 @@ shrinks the load and asserts the server answers a non-empty
     python -m repro serve university.json --wal db.wal &
     python benchmarks/bench_server.py --connect 127.0.0.1:7043 --smoke
 
-``--metrics`` measures observability overhead instead: the same hosted
-load twice, once with the server-layer registry disabled and once with
-it enabled (scraping the HTTP ``/metrics`` endpoint before and after
-the run), reporting the throughput cost as a ``server_metrics`` entry
-(target: under 5%).
-
 ``--spans`` measures span-tracing overhead instead: the same hosted
 load with no span sink and with a sink at 0%, 1% and 100% head
 sampling, reporting each throughput cost as a ``server_spans`` entry
@@ -453,67 +447,6 @@ def bench_replicated(clients: int, ops: int) -> dict[str, object]:
     return entry
 
 
-def scrape(host: str, port: int) -> str:
-    """One HTTP GET of ``/metrics`` from the sidecar endpoint."""
-    from urllib.request import urlopen
-
-    with urlopen(f"http://{host}:{port}/metrics", timeout=30) as resp:
-        return resp.read().decode("utf-8")
-
-
-def bench_metrics_overhead(clients: int, ops: int) -> dict[str, object]:
-    """The same group-commit load with the server-layer registry off
-    and on; the throughput delta is the observability overhead.
-
-    The enabled run also scrapes ``/metrics`` over HTTP before and
-    after the load, asserting the per-verb counters actually moved --
-    an overhead number for a registry that recorded nothing would be
-    meaningless.
-    """
-    from repro.engine.database import Database
-    from repro.engine.wal import FileStorage, WriteAheadLog
-    from repro.server import ServerConfig, ServerThread
-    from repro.workloads.university import university_relational
-
-    entry: dict[str, object] = {
-        "harness": "benchmarks/bench_server.py --metrics",
-        "python": platform.python_version(),
-    }
-    with tempfile.TemporaryDirectory() as tmp:
-        for mode, enabled in (("metrics_off", False), ("metrics_on", True)):
-            wal = WriteAheadLog(
-                FileStorage(
-                    os.path.join(tmp, f"{mode}.wal"),
-                    fsync=False,
-                    buffered=True,
-                )
-            )
-            db = Database(university_relational(), wal=wal)
-            config = ServerConfig(
-                max_connections=clients + 4,
-                max_batch=256,
-                metrics=enabled,
-                metrics_port=0 if enabled else None,
-            )
-            with ServerThread(db, config) as st:
-                assert st.port is not None
-                before = (
-                    scrape(st.host, st.metrics_port) if enabled else ""
-                )
-                result = run_clients(st.port, clients, ops, "")
-                if enabled:
-                    after = scrape(st.host, st.metrics_port)
-                    line = 'repro_server_requests_total{verb="insert"}'
-                    assert line not in before, "no load ran before scrape"
-                    assert line in after, "enabled registry recorded nothing"
-                    result["scrape_bytes"] = len(after)
-            entry[mode] = result
-    off = entry["metrics_off"]["inserts_per_s"]
-    on = entry["metrics_on"]["inserts_per_s"]
-    entry["overhead_pct"] = round((off - on) / off * 100, 2)
-    return entry
-
-
 def bench_spans_overhead(clients: int, ops: int) -> dict[str, object]:
     """The same group-commit load with span tracing off and at 0%, 1%
     and 100% head sampling; each throughput delta against the no-sink
@@ -664,12 +597,6 @@ def main(argv: list[str] | None = None) -> int:
         help="tiny load; with --connect, also assert metrics is non-empty",
     )
     parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="measure observability overhead (registry off vs on, "
-        "with /metrics scrapes) instead of the flush/fsync matrix",
-    )
-    parser.add_argument(
         "--spans",
         action="store_true",
         help="measure span-tracing overhead (sink off vs 0%%/1%%/100%% "
@@ -705,14 +632,6 @@ def main(argv: list[str] | None = None) -> int:
         host, _, port = args.connect.rpartition(":")
         entry = bench_external(host or "127.0.0.1", int(port), args.clients, args.ops)
         print(json.dumps(entry, indent=2))
-        return 0
-
-    if args.metrics:
-        entry = bench_metrics_overhead(args.clients, args.ops)
-        print(json.dumps(entry, indent=2))
-        if not args.smoke and args.output != "-":
-            append_to_report(args.output, entry, key="server_metrics")
-            print(f"wrote {args.output}", file=sys.stderr)
         return 0
 
     if args.spans:

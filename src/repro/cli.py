@@ -711,18 +711,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server = asyncio.run(serve_async(db, config))
     finally:
         _close_tracer(tracer, trace_path)
-    snap = db.stats.snapshot()
+    from repro.server.server import drain_summary
+
+    summary = drain_summary(server)
     print(
-        f"drained: {server.sessions_opened} session(s), "
-        f"{server.service.requests_served} request(s), "
-        f"{snap['wal_group_commits']} group commit(s) covering "
-        f"{snap['wal_batched_records']} record(s)"
+        f"drained: {summary['sessions']} session(s), "
+        f"{summary['requests']} request(s), "
+        f"{summary['group_commits']} group commit(s) covering "
+        f"{summary['batched_records']} record(s)"
     )
     # The machine-readable drain summary: one JSON object on stderr, so
     # scripts assert on exact counts without parsing the line above.
-    from repro.server.server import drain_summary
-
-    print(json.dumps(drain_summary(server), sort_keys=True), file=sys.stderr)
+    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     if server.drain_error is not None:
         print(f"warning: drain error: {server.drain_error}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ against the actual ``Merge``/``Remove`` outputs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.constraints.inclusion import InclusionDependency
 from repro.core.keyrelation import MergeFamily, find_key_relation
@@ -78,14 +78,6 @@ def prop51_keys_not_null(
         if len(schema.scheme(member).candidate_keys) > 1:
             return False
     return True
-
-
-def _outward_ind_targets(
-    schema: RelationalSchema, member: str, member_set: set[str]
-) -> Iterable[InclusionDependency]:
-    for ind in schema.inds:
-        if ind.lhs_scheme == member and ind.rhs_scheme not in member_set:
-            yield ind
 
 
 def prop52_nulls_not_allowed_only(

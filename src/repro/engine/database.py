@@ -134,10 +134,6 @@ class _Table:
         self.group_indexes[attrs] = index
         self.group_extractors[attrs] = extract
 
-    def pk_of(self, t: Tuple) -> tuple[Any, ...]:
-        """The primary-key value tuple of a stored row."""
-        return self.plan.pk(t.mapping)
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -195,7 +191,6 @@ class Database:
         stats: EngineStats | None = None,
         null_semantics: str = "distinct",
         tracer: Tracer | None = None,
-        record_latencies: bool = False,
         wal: WriteAheadLog | None = None,
         wal_path: str | None = None,
         slotted: bool = True,
@@ -209,9 +204,6 @@ class Database:
         self.stats = stats if stats is not None else EngineStats()
         #: Trace sink for enforcement decisions (None = tracing off).
         self.tracer = tracer
-        #: Whether mutations time themselves into ``stats.latencies``.
-        self.record_latencies = record_latencies
-        self._timed = tracer is not None or record_latencies
         #: Whether eligible bulk mutations may take the columnar
         #: slotted-row path (:mod:`repro.engine.rows`).  ``False``
         #: forces the row-at-a-time path everywhere -- the benchmark's
@@ -264,12 +256,6 @@ class Database:
     def set_tracer(self, tracer: Tracer | None) -> None:
         """Attach (or with ``None`` detach) a trace sink."""
         self.tracer = tracer
-        self._timed = tracer is not None or self.record_latencies
-
-    def set_record_latencies(self, enabled: bool) -> None:
-        """Toggle per-mutation latency recording into ``stats.latencies``."""
-        self.record_latencies = enabled
-        self._timed = self.tracer is not None or enabled
 
     def explain(self, op: str, scheme_name: str) -> dict:
         """The ordered checks ``op`` ("insert"/"update"/"delete") runs on
@@ -288,21 +274,17 @@ class Database:
     def _observe_ok(
         self, op: str, scheme: str | None, start: float, rows: int = 1
     ) -> None:
-        """Record one accepted mutation (latency and/or trace event)."""
-        elapsed = perf_counter() - start
-        if self.record_latencies:
-            self.stats.observe(op, elapsed)
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEvent(
-                    event="mutation",
-                    op=op,
-                    scheme=scheme,
-                    outcome="ok",
-                    rows=rows,
-                    elapsed_us=round(elapsed * 1e6, 3),
-                )
+        """Trace one accepted mutation."""
+        self.tracer.emit(
+            TraceEvent(
+                event="mutation",
+                op=op,
+                scheme=scheme,
+                outcome="ok",
+                rows=rows,
+                elapsed_us=round((perf_counter() - start) * 1e6, 3),
             )
+        )
 
     def _observe_reject(
         self,
@@ -311,24 +293,20 @@ class Database:
         exc: ConstraintViolationError,
         start: float,
     ) -> None:
-        """Record one rejected mutation with its constraint provenance."""
-        elapsed = perf_counter() - start
-        if self.record_latencies:
-            self.stats.observe(op, elapsed)
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEvent(
-                    event="reject",
-                    op=op,
-                    scheme=scheme,
-                    constraint=exc.constraint,
-                    kind=exc.kind,
-                    rule=exc.rule,
-                    outcome="rejected",
-                    detail=exc.detail,
-                    elapsed_us=round(elapsed * 1e6, 3),
-                )
+        """Trace one rejected mutation with its constraint provenance."""
+        self.tracer.emit(
+            TraceEvent(
+                event="reject",
+                op=op,
+                scheme=scheme,
+                constraint=exc.constraint,
+                kind=exc.kind,
+                rule=exc.rule,
+                outcome="rejected",
+                detail=exc.detail,
+                elapsed_us=round((perf_counter() - start) * 1e6, 3),
             )
+        )
 
     def _wal_append(self, record: dict, op: str, scheme: str | None) -> None:
         """Durably log one accepted mutation (write-ahead: the caller
@@ -613,7 +591,7 @@ class Database:
     def insert(self, scheme_name: str, row: Mapping[str, Any]) -> Tuple:
         """Insert one row; raises :class:`ConstraintViolationError` when
         any constraint would be violated."""
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
         try:
@@ -670,7 +648,7 @@ class Database:
         """Delete by primary key, restricting when referenced."""
         if not isinstance(pk, tuple):
             pk = (pk,)
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
         old = table.rows.get(pk)
@@ -698,7 +676,7 @@ class Database:
         """Update one row by primary key."""
         if not isinstance(pk, tuple):
             pk = (pk,)
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
         old = table.rows.get(pk)
@@ -762,7 +740,7 @@ class Database:
         back and the same :class:`ConstraintViolationError` the per-row
         path would raise is re-raised.
         """
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
         if (
@@ -835,7 +813,7 @@ class Database:
         Returns one entry per operation: the stored :class:`Tuple` for
         inserts/updates, ``None`` for deletes.
         """
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         if (
             self._slotted
@@ -1101,7 +1079,7 @@ class Database:
             raise ConstraintViolationError(
                 "bulk-load", "cannot bulk-load inside a transaction"
             )
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         if self.wal is not None:
             from repro.io.state_json import state_to_dict
@@ -1235,7 +1213,7 @@ class Database:
             raise ConstraintViolationError(
                 "online-merge", "cannot merge schema inside a transaction"
             )
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         simplified, new_state = self._transform_merge(
             members, key_relation, merged_name
@@ -1265,26 +1243,22 @@ class Database:
                 raise
         self._adopt_schema(simplified.schema, new_state)
         if timed:
-            elapsed = perf_counter() - start
-            if self.record_latencies:
-                self.stats.observe("apply_merge", elapsed)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEvent(
-                        event="merge-applied-online",
-                        op="apply_merge",
-                        scheme=simplified.info.merged_name,
-                        kind="merge-admission",
-                        rule="Definition 4.1 (Merge) + Definition 4.3 (Remove)",
-                        outcome="ok",
-                        rows=sum(len(t) for t in self._tables.values()),
-                        detail=(
-                            f"members={','.join(members)} "
-                            f"key_relation={simplified.info.key_relation}"
-                        ),
-                        elapsed_us=round(elapsed * 1e6, 3),
-                    )
+            self.tracer.emit(
+                TraceEvent(
+                    event="merge-applied-online",
+                    op="apply_merge",
+                    scheme=simplified.info.merged_name,
+                    kind="merge-admission",
+                    rule="Definition 4.1 (Merge) + Definition 4.3 (Remove)",
+                    outcome="ok",
+                    rows=sum(len(t) for t in self._tables.values()),
+                    detail=(
+                        f"members={','.join(members)} "
+                        f"key_relation={simplified.info.key_relation}"
+                    ),
+                    elapsed_us=round((perf_counter() - start) * 1e6, 3),
                 )
+            )
         return simplified
 
     def redo_merge(
@@ -1318,7 +1292,7 @@ class Database:
             raise WalError("database has no write-ahead log to checkpoint")
         if self.in_transaction:
             raise WalError("cannot checkpoint inside a transaction")
-        timed = self._timed
+        timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
         from repro.io.state_json import state_to_dict
 
@@ -1332,21 +1306,17 @@ class Database:
         )
         self.stats.checkpoints += 1
         if timed:
-            elapsed = perf_counter() - start
-            if self.record_latencies:
-                self.stats.observe("checkpoint", elapsed)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEvent(
-                        event="checkpoint",
-                        op="checkpoint",
-                        kind="wal-checkpoint",
-                        rule=paper_rule("wal-checkpoint"),
-                        outcome="ok",
-                        rows=sum(len(t) for t in self._tables.values()),
-                        elapsed_us=round(elapsed * 1e6, 3),
-                    )
+            self.tracer.emit(
+                TraceEvent(
+                    event="checkpoint",
+                    op="checkpoint",
+                    kind="wal-checkpoint",
+                    rule=paper_rule("wal-checkpoint"),
+                    outcome="ok",
+                    rows=sum(len(t) for t in self._tables.values()),
+                    elapsed_us=round((perf_counter() - start) * 1e6, 3),
                 )
+            )
         return lsn
 
     def sync_wal(self) -> int:
@@ -1386,7 +1356,6 @@ class Database:
         null_semantics: str = "distinct",
         stats: EngineStats | None = None,
         tracer: Tracer | None = None,
-        record_latencies: bool = False,
         verify: bool = True,
     ) -> "Database":
         """Rebuild the committed state from a write-ahead log.
@@ -1408,7 +1377,6 @@ class Database:
             null_semantics=null_semantics,
             stats=stats,
             tracer=tracer,
-            record_latencies=record_latencies,
             verify=verify,
         ).database
 

@@ -204,7 +204,6 @@ def recover_database(
     null_semantics: str = "distinct",
     stats: EngineStats | None = None,
     tracer: Tracer | None = None,
-    record_latencies: bool = False,
     verify: bool = True,
 ) -> RecoveryResult:
     """Replay the log at ``wal_path`` (or over ``storage``) into a fresh
@@ -242,7 +241,6 @@ def recover_database(
         stats=stats,
         null_semantics=null_semantics,
         tracer=tracer,
-        record_latencies=record_latencies,
     )
 
     # 2 + 3. Replay in log order, buffering transaction groups until

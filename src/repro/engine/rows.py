@@ -51,20 +51,6 @@ _set_hash = Tuple.__dict__["_hash"].__set__
 _consume = deque(maxlen=0).extend
 
 
-def adopt_row(values: Mapping[str, Any]) -> Tuple:
-    """A :class:`Tuple` adopting ``values`` without copying.
-
-    The caller transfers ownership of a plain dict: the engine stores it
-    as the tuple's backing mapping, so the caller must not mutate it
-    afterwards.  Anything that is not exactly a dict is copied, same as
-    the ordinary constructor.
-    """
-    t = _new_tuple(Tuple)
-    _set_values(t, values if type(values) is dict else dict(values))
-    _set_hash(t, None)
-    return t
-
-
 def _materialize(table, rows: Sequence[Mapping[str, Any]]):
     """Shape-check rows, extract the key column, and build the batch's
     tuples with all-C-loop passes.

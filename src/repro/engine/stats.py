@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 from repro.obs.histogram import LatencyHistogram
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -34,9 +36,8 @@ class EngineStats:
 
     ``latencies`` maps an operation name to a
     :class:`~repro.obs.histogram.LatencyHistogram`; it stays empty
-    unless something calls :meth:`observe` (the engine does when
-    constructed with ``record_latencies=True``, and the benchmark
-    harness does around every measured op).
+    unless something calls :meth:`observe` (the benchmark harness does
+    around every measured op).
 
     ``ind_joins`` and ``scheme_mutations`` are the merge advisor's
     workload profile (see ``docs/ADVISOR.md``): navigations along one
@@ -126,47 +127,30 @@ class EngineStats:
             out[f.name] = value
         return out
 
-    def to_json(self) -> dict[str, object]:
-        """Alias of :meth:`snapshot` (the JSON-ready export)."""
-        return self.snapshot()
-
-    def to_prometheus(self, prefix: str = "repro_engine") -> str:
-        """The counters and latency histograms in Prometheus text
-        exposition format (counters plus cumulative ``le`` buckets)."""
-        lines: list[str] = []
+    def register(
+        self, registry: MetricsRegistry, prefix: str = "repro_engine"
+    ) -> None:
+        """Export every field through ``registry`` as a family read at
+        scrape time: the scalar counters, ``ind_joins{ind}`` and
+        ``scheme_mutations{scheme}``, and the per-op latency histograms
+        as ``<prefix>_op_latency_seconds{op}``.  Nothing runs per
+        mutation -- the engine keeps its plain ``+= 1`` increments."""
         labeled = {"ind_joins": "ind", "scheme_mutations": "scheme"}
         for f in fields(self):
             if f.name == "latencies":
-                continue
-            if f.name in labeled:
-                label = labeled[f.name]
-                series = getattr(self, f.name)
-                if not series:
-                    continue
-                lines.append(f"# TYPE {prefix}_{f.name} counter")
-                for key in sorted(series):
-                    escaped = (
-                        str(key)
-                        .replace("\\", "\\\\")
-                        .replace('"', '\\"')
-                        .replace("\n", "\\n")
-                    )
-                    lines.append(
-                        f'{prefix}_{f.name}{{{label}="{escaped}"}} '
-                        f"{series[key]}"
-                    )
-                continue
-            lines.append(f"# TYPE {prefix}_{f.name} counter")
-            lines.append(f"{prefix}_{f.name} {getattr(self, f.name)}")
-        if self.latencies:
-            metric = f"{prefix}_op_latency_seconds"
-            lines.append(f"# TYPE {metric} histogram")
-            for op in sorted(self.latencies):
-                hist = self.latencies[op]
-                lines.append(
-                    hist.to_prometheus(metric, labels={"op": op}).rstrip("\n")
+                family = registry.histogram(
+                    f"{prefix}_op_latency_seconds",
+                    "Engine operation latency, by op.",
+                    labelnames=("op",),
                 )
-        return "\n".join(lines) + "\n"
+            else:
+                label = labeled.get(f.name)
+                family = registry.counter(
+                    f"{prefix}_{f.name}",
+                    f"Engine counter EngineStats.{f.name}.",
+                    labelnames=(label,) if label else (),
+                )
+            family.set_callback(partial(getattr, self, f.name))
 
     def __str__(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.snapshot().items() if v)

@@ -106,25 +106,6 @@ class LatencyHistogram:
             cumulative += c
             yield self.bucket_bound(i), cumulative
 
-    def to_prometheus(self, name: str, labels: dict | None = None) -> str:
-        """Spec-conformant Prometheus exposition lines for this
-        histogram, without family headers (ends with a newline).
-
-        Buckets are cumulative with ``le`` upper bounds in seconds and
-        close with the mandatory ``+Inf`` bucket, followed by ``_sum``
-        and ``_count``; label values are escaped per the text format.
-        Empty leading buckets are skipped and the saturated tail is
-        collapsed into ``+Inf`` -- cumulative semantics make both
-        lossless.
-        """
-        # Lazy import: metrics.py imports this module at its top level.
-        from repro.obs.metrics import render_histogram
-
-        lines = render_histogram(
-            name, labels, self.cumulative(), self.total, self.count
-        )
-        return "\n".join(lines) + "\n"
-
     def to_dict(self) -> dict:
         """A JSON-ready summary in microseconds."""
         if self.count == 0:

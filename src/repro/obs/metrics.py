@@ -15,15 +15,16 @@ constructed with explicit ``buckets`` (e.g. group-commit batch sizes)
 uses a fixed-bound cumulative histogram instead, rendered through the
 same :func:`render_histogram` so both are spec-conformant.
 
-Gauges may be backed by a callback (:meth:`Gauge.set_callback`) so
-live quantities -- queue depth, open connections -- are read at scrape
-time and can never drift from the value they mirror.
+Any family may instead be backed by a callback
+(:meth:`set_callback <_Family.set_callback>`), read at scrape time: live
+quantities -- queue depth, open connections -- and counts kept
+elsewhere -- the engine's :class:`~repro.engine.stats.EngineStats` --
+then never drift from the value they mirror, and nothing runs when
+that value changes.
 
 Everything here is synchronous and allocation-light: recording into a
-counter or histogram is a dict lookup and an increment, which is what
-lets the server keep the registry enabled under load (the measured
-throughput cost is under 5%; see ``benchmarks/bench_server.py
---metrics``).
+counter or histogram is a dict lookup and an increment, which is why
+the server keeps the registry always on.
 """
 
 from __future__ import annotations
@@ -177,6 +178,7 @@ class _Family:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._children: dict[tuple[str, ...], Any] = {}
+        self._callback: Callable[[], Any] | None = None
 
     def _child_values(self, labels: Mapping[str, Any]) -> tuple[str, ...]:
         if set(labels) != set(self.labelnames):
@@ -207,10 +209,35 @@ class _Family:
             )
         return self.labels()
 
+    def set_callback(self, fn: Callable[[], Any]) -> None:
+        """Back the family with ``fn``, evaluated at every render and
+        snapshot, so the exported value can never drift from the
+        quantity it mirrors.  ``fn`` returns the value of an unlabeled
+        family, or for a family with one label a mapping from label
+        value to value (rendered in sorted label order)."""
+        if len(self.labelnames) > 1:
+            raise ValueError("a callback family takes at most one label")
+        self._callback = fn
+
+    def _read(self, child: Any) -> Any:
+        """The exported value of one recorded child."""
+        return child
+
     def items(self) -> list[tuple[dict[str, str], Any]]:
-        """``(labels_dict, child)`` pairs in first-use order."""
+        """``(labels_dict, value)`` pairs -- numbers for counters and
+        gauges, histogram objects for histograms: recorded children in
+        first-use order, or the callback's in sorted label order."""
+        if self._callback is not None:
+            value = self._callback()
+            if not self.labelnames:
+                return [({}, value)]
+            (label,) = self.labelnames
+            return [
+                ({label: str(key)}, v)
+                for key, v in sorted(value.items())
+            ]
         return [
-            (dict(zip(self.labelnames, key)), child)
+            (dict(zip(self.labelnames, key)), self._read(child))
             for key, child in self._children.items()
         ]
 
@@ -231,70 +258,63 @@ class _Value:
         self.value = 0.0
 
 
-class Counter(_Family):
-    """A monotonically increasing count, optionally labeled."""
+class _CounterValue(_Value):
+    """One counter child: it only goes up."""
 
-    kind = "counter"
-
-    def _make_child(self) -> _Value:
-        return _Value()
-
-    def labels(self, **labels: Any) -> "_CounterChild":
-        """The counter child for one label combination."""
-        return _CounterChild(super().labels(**labels))
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Increment the unlabeled counter."""
-        self._default_child().inc(amount)
-
-    def value(self, **labels: Any) -> float:
-        """The current value under one label combination."""
-        return super().labels(**labels).value
-
-    def render(self) -> list[str]:
-        """Exposition sample lines for every child."""
-        return [
-            f"{self.name}{format_labels(labels)} {_format_number(child.value)}"
-            for labels, child in self.items()
-        ]
-
-    def snapshot_value(self, child: _Value) -> float:
-        """JSON-ready value of one child."""
-        return child.value
-
-
-class _CounterChild:
-    """Mutation handle for one counter child."""
-
-    __slots__ = ("_cell",)
-
-    def __init__(self, cell: _Value):
-        self._cell = cell
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative: counters only go up)."""
         if amount < 0:
             raise ValueError("counters can only increase")
-        self._cell.value += amount
-
-    @property
-    def value(self) -> float:
-        """The child's current value."""
-        return self._cell.value
+        self.value += amount
 
 
-class Gauge(_Family):
+class _Scalar(_Family):
+    """A family of numeric children (counters and gauges)."""
+
+    def _make_child(self) -> _Value:
+        return _Value()
+
+    def _read(self, child: _Value) -> float:
+        return child.value
+
+    def value(self, **labels: Any) -> float:
+        """The value under one label combination (0 if never recorded;
+        reading never creates a child)."""
+        key = dict(zip(self.labelnames, self._child_values(labels)))
+        return next((v for got, v in self.items() if got == key), 0)
+
+    def total(self) -> float:
+        """The sum over every label combination."""
+        return sum(v for _, v in self.items())
+
+    def render(self) -> list[str]:
+        """Exposition sample lines for every child."""
+        return [
+            f"{self.name}{format_labels(labels)} {_format_number(value)}"
+            for labels, value in self.items()
+        ]
+
+
+class Counter(_Scalar):
+    """A monotonically increasing count, optionally labeled."""
+
+    kind = "counter"
+
+    def _make_child(self) -> _CounterValue:
+        return _CounterValue()
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Increment the unlabeled counter."""
+        self._default_child().inc(amount)
+
+
+class Gauge(_Scalar):
     """A value that can go up and down; optionally callback-backed so
     scrapes read the live quantity."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()):
-        super().__init__(name, help, labelnames)
-        self._callback: Callable[[], float] | None = None
-
-    def _make_child(self) -> _Value:
-        return _Value()
 
     def set(self, value: float) -> None:
         """Set the unlabeled gauge."""
@@ -307,29 +327,6 @@ class Gauge(_Family):
     def dec(self, amount: float = 1.0) -> None:
         """Adjust the unlabeled gauge downward."""
         self._default_child().value -= amount
-
-    def set_callback(self, fn: Callable[[], float]) -> None:
-        """Back the (unlabeled) gauge with ``fn``, evaluated at every
-        render/snapshot -- the value can then never drift from the
-        quantity it mirrors."""
-        if self.labelnames:
-            raise ValueError("callback gauges cannot be labeled")
-        self._callback = fn
-
-    def current(self) -> float:
-        """The unlabeled gauge's value (through the callback if set)."""
-        if self._callback is not None:
-            return float(self._callback())
-        return self._default_child().value
-
-    def render(self) -> list[str]:
-        """Exposition sample lines for every child."""
-        if self._callback is not None:
-            return [f"{self.name} {_format_number(self.current())}"]
-        return [
-            f"{self.name}{format_labels(labels)} {_format_number(child.value)}"
-            for labels, child in self.items()
-        ]
 
 
 class Histogram(_Family):
@@ -473,17 +470,14 @@ class MetricsRegistry:
         histograms)."""
         out: list[dict] = []
         for family in self._families.values():
-            samples: list[dict] = []
-            if isinstance(family, Gauge) and family._callback is not None:
-                samples.append({"labels": {}, "value": family.current()})
-            else:
-                for labels, child in family.items():
-                    value: Any
-                    if isinstance(family, Histogram):
-                        value = child.to_dict()
-                    else:
-                        value = child.value
-                    samples.append({"labels": labels, "value": value})
+            histogram = isinstance(family, Histogram)
+            samples = [
+                {
+                    "labels": labels,
+                    "value": value.to_dict() if histogram else value,
+                }
+                for labels, value in family.items()
+            ]
             out.append(
                 {
                     "name": family.name,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import signal
 import socket
 import sys
@@ -72,10 +73,6 @@ class ServerConfig:
     queue_depth: int = 1024
     #: Compact the WAL into a snapshot as part of graceful drain.
     checkpoint_on_drain: bool = True
-    #: Record server-layer metrics (the :class:`ServerMetrics`
-    #: registry).  Off is the baseline configuration
-    #: ``bench_server --metrics`` measures overhead against.
-    metrics: bool = True
     #: Port for the sidecar HTTP endpoint serving ``/metrics``,
     #: ``/healthz`` and ``/readyz``; 0 asks the OS for a free one
     #: (read it back from :attr:`ReproServer.metrics_port`), ``None``
@@ -162,7 +159,6 @@ class ReproServer:
             max_batch=self.config.max_batch,
             max_delay=self.config.max_delay,
             queue_depth=self.config.queue_depth,
-            metrics=self.config.metrics,
             shard=self.config.shard,
             prepare_timeout=self.config.prepare_timeout,
             role="replica" if self.config.replicate_from else "primary",
@@ -178,8 +174,7 @@ class ReproServer:
         #: Bound port of the sidecar metrics endpoint (``None`` until
         #: started, or when :attr:`ServerConfig.metrics_port` is unset).
         self.metrics_port: int | None = None
-        self.sessions_opened = 0
-        self.rejected_connections = 0
+        self._session_ids = itertools.count(1)
         #: True once startup (including WAL recovery, done before
         #: construction) is complete and the listener is bound -- the
         #: ``/readyz`` signal.
@@ -289,9 +284,7 @@ class ReproServer:
             len(self._connections) >= self.config.max_connections
             or self._draining.is_set()
         ):
-            self.rejected_connections += 1
-            if self.service.metrics is not None:
-                self.service.metrics.rejected_connections.inc()
+            self.service.metrics.rejected_connections.inc()
             kind = (
                 "shutting-down" if self._draining.is_set() else "overloaded"
             )
@@ -307,12 +300,10 @@ class ReproServer:
             return
         self._connections.add(task)
         self.service.connections += 1
-        self.sessions_opened += 1
-        if self.service.metrics is not None:
-            self.service.metrics.sessions.inc()
+        self.service.metrics.sessions.inc()
         peername = writer.get_extra_info("peername")
         session = Session(
-            id=self.sessions_opened,
+            id=next(self._session_ids),
             peer=f"{peername[0]}:{peername[1]}" if peername else "",
         )
         try:
@@ -596,14 +587,16 @@ def drain_summary(server: ReproServer) -> dict:
 
     ``python -m repro serve`` prints this to stderr after a graceful
     drain so scripts can assert on exact counts instead of parsing the
-    human-readable ``drained:`` line.
+    human-readable ``drained:`` line.  The counts are read back from
+    the metrics registry, their only copy.
     """
     stats = server.db.stats
+    metrics = server.service.metrics
     return {
         "event": "drained",
-        "sessions": server.sessions_opened,
-        "rejected_connections": server.rejected_connections,
-        "requests": server.service.requests_served,
+        "sessions": int(metrics.sessions.total()),
+        "rejected_connections": int(metrics.rejected_connections.total()),
+        "requests": server.service.requests_served(),
         "group_commits": stats.wal_group_commits,
         "batched_records": stats.wal_batched_records,
         "checkpoints": stats.checkpoints,

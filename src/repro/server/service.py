@@ -175,19 +175,26 @@ def _decode_batch_ops(raw_ops: list) -> list[tuple]:
 
 
 class ServerMetrics:
-    """The server-layer metric families, on one shared registry.
+    """Every metric family the server exports, on one registry.
 
-    Counters and histograms are recorded by the request path; the three
-    gauges are callback-backed, reading the live quantity (connections,
-    in-flight mutations, queue depth) at scrape time so they can never
-    drift.  The registry renders after the engine's own exposition in
-    :meth:`DatabaseService.render_metrics` and snapshots into the
-    ``stats`` verb's ``server.metrics`` key.
+    The engine's :class:`~repro.engine.stats.EngineStats` fields come
+    first, registered as callback families read at scrape time (see
+    :meth:`EngineStats.register
+    <repro.engine.stats.EngineStats.register>`).  The server-layer
+    counters and histograms are recorded by the request path, and they
+    are the only copy of each count: the ``stats`` verb, the drain
+    summary and ``repro monitor`` read them back from here.  The gauges
+    are callback-backed, reading the live quantity (connections,
+    in-flight mutations, queue depth, ...) at scrape time so they can
+    never drift.  The registry is the body of the ``metrics`` verb and
+    the ``/metrics`` endpoint (:meth:`DatabaseService.render_metrics`)
+    and snapshots into the ``stats`` verb's ``server.metrics`` key.
     """
 
     def __init__(self, service: "DatabaseService"):
         self.registry = MetricsRegistry()
         r = self.registry
+        service.db.stats.register(r)
         self.requests = r.counter(
             "repro_server_requests_total",
             "Requests handled, by verb (unknown verbs count as 'invalid').",
@@ -243,7 +250,7 @@ class ServerMetrics:
         self.prepares = r.counter(
             "repro_server_prepares_total",
             "Cross-shard batch prepares, by final outcome "
-            "(committed / aborted / expired).",
+            "(committed / aborted / expired / failed).",
             labelnames=("outcome",),
         )
         self.repl_shipped = r.counter(
@@ -277,12 +284,6 @@ class ServerMetrics:
             "file storage).",
         )
         wal_size.set_callback(service.wal_size_bytes)
-        snapshots = r.gauge(
-            "repro_server_wal_snapshots",
-            "Checkpoint snapshots taken by this process (WAL "
-            "compactions).",
-        )
-        snapshots.set_callback(lambda: service.db.stats.checkpoints)
         span_depth = r.gauge(
             "repro_server_span_queue_depth",
             "Finished spans held in the span sink's ring buffer.",
@@ -290,7 +291,7 @@ class ServerMetrics:
         span_depth.set_callback(
             lambda: service.span_sink.depth if service.span_sink else 0
         )
-        span_dropped = r.gauge(
+        span_dropped = r.counter(
             "repro_server_spans_dropped_total",
             "Spans evicted from the span ring buffer before collection.",
         )
@@ -343,7 +344,6 @@ class DatabaseService:
         max_batch: int = 64,
         max_delay: float = 0.002,
         queue_depth: int = 1024,
-        metrics: bool = True,
         shard: ShardInfo | None = None,
         prepare_timeout: float = 30.0,
         role: str = "primary",
@@ -376,7 +376,9 @@ class DatabaseService:
         #: first storage fault; every later mutation gets a
         #: ``wal-error`` frame until the process crash-recovers.
         self.poisoned: str | None = None
-        self.requests_served = 0
+        #: Requests received whose response is not built yet; the
+        #: registry counts a request when its response is.
+        self._unfinished = 0
         #: Mutations submitted whose future is not yet resolved.  The
         #: writer uses this to distinguish "everyone who wants into this
         #: group is already in it -- commit now" from "a straggler is
@@ -406,10 +408,6 @@ class DatabaseService:
         #: than the generic ``no-prepared-batch``.
         self._held_xid: str | None = None
         self._expired_xids: deque[str] = deque(maxlen=8)
-        self.prepares = 0
-        self.prepare_commits = 0
-        self.prepare_aborts = 0
-        self.prepare_expired = 0
         # -- replication state (see docs/REPLICATION.md) ---------------
         #: ``"primary"`` (read-write, ships its WAL) or ``"replica"``
         #: (read-only, applies a primary's records); flipped by the
@@ -437,9 +435,6 @@ class DatabaseService:
         #: receipt; deferred mutation acks wait on it.
         self._confirm_waiter: asyncio.Future | None = None
         self._draining = False
-        #: WAL records shipped to replicas / applied from the primary.
-        self.repl_shipped = 0
-        self.repl_applied = 0
         #: Replica side: the primary's lsn of the last applied record,
         #: and the primary's durable lsn as of the last poll (their
         #: difference is the replication lag).
@@ -477,12 +472,8 @@ class DatabaseService:
         #: the same trace.  Bounded; WAL payloads stay untouched (their
         #: checksums cover exact bytes).
         self._span_ctx_by_lsn: dict[int, str] = {}
-        #: Server-layer metric families (``None`` disables the registry
-        #: entirely -- the configuration ``bench_server --metrics``
-        #: compares against).
-        self.metrics: ServerMetrics | None = (
-            ServerMetrics(self) if metrics else None
-        )
+        #: Every exported metric family, engine and server alike.
+        self.metrics = ServerMetrics(self)
         #: Tees engine trace events onto the active request span;
         #: ``None`` without a span sink, when a configured tracer gets
         #: the engine's events directly and unstamped.
@@ -533,7 +524,7 @@ class DatabaseService:
         request_id = frame.get("id")
         verb = frame.get("verb")
         session.requests += 1
-        self.requests_served += 1
+        self._unfinished += 1
         started = perf_counter()
         if not isinstance(verb, str) or verb not in VERBS:
             response = error_frame(
@@ -640,21 +631,21 @@ class DatabaseService:
                 error.setdefault("trace_id", span.trace_id)
         if not response.get("ok"):
             session.rejections += 1
-        if self.metrics is not None:
-            self.metrics.requests.labels(verb=verb).inc()
-            self.metrics.request_seconds.labels(verb=verb).observe(
-                perf_counter() - started
-            )
-            error = response.get("error")
-            if isinstance(error, dict):
-                self.metrics.errors.labels(
-                    type=error.get("type", "server-error")
+        self._unfinished -= 1
+        self.metrics.requests.labels(verb=verb).inc()
+        self.metrics.request_seconds.labels(verb=verb).observe(
+            perf_counter() - started
+        )
+        error = response.get("error")
+        if isinstance(error, dict):
+            self.metrics.errors.labels(
+                type=error.get("type", "server-error")
+            ).inc()
+            if error.get("type") == "constraint-violation":
+                self.metrics.violations.labels(
+                    kind=error.get("kind", ""),
+                    rule=error.get("rule", ""),
                 ).inc()
-                if error.get("type") == "constraint-violation":
-                    self.metrics.violations.labels(
-                        kind=error.get("kind", ""),
-                        rule=error.get("rule", ""),
-                    ).inc()
         if span is not None:
             if response.get("lsn") is not None:
                 span.attributes["lsn"] = response["lsn"]
@@ -959,9 +950,7 @@ class DatabaseService:
                     after, self.db.wal.durable_lsn, max_records
                 )
         if records:
-            self.repl_shipped += len(records)
-            if self.metrics is not None:
-                self.metrics.repl_shipped.inc(len(records))
+            self.metrics.repl_shipped.inc(len(records))
             if self._span_ctx_by_lsn:
                 # Stamp the originating span context onto shipped
                 # *copies* (never the WAL payloads themselves -- their
@@ -1090,9 +1079,8 @@ class DatabaseService:
             # replays it through apply_merge_online).
             self._refresh_schema_caches()
         self.db.sync_wal()
-        self.repl_applied += len(records)
         self.primary_durable_lsn = max(self.primary_durable_lsn, durable_lsn)
-        if self.metrics is not None and records:
+        if records:
             self.metrics.repl_applied.inc(len(records))
 
     def _check_shard(self, verb: str, frame: Mapping[str, Any]) -> None:
@@ -1333,39 +1321,47 @@ class DatabaseService:
             return _error_for(request_id, exc)
 
     def render_metrics(self) -> str:
-        """The full Prometheus text exposition: the engine's counters
-        and latency histograms followed by the server-layer registry
-        (the body of the ``metrics`` verb and the ``/metrics`` HTTP
-        endpoint)."""
-        text = self.db.stats.to_prometheus()
-        if self.metrics is not None:
-            text += self.metrics.registry.render()
-        return text
+        """The full Prometheus text exposition of the registry -- the
+        engine's counters and latency histograms, then the server
+        layer's (the body of the ``metrics`` verb and the ``/metrics``
+        HTTP endpoint)."""
+        return self.metrics.registry.render()
+
+    def requests_served(self) -> int:
+        """Requests received: those the registry has counted plus those
+        still being handled (a ``stats`` request counts itself)."""
+        return int(self.metrics.requests.total()) + self._unfinished
 
     def server_stats(self) -> dict[str, Any]:
         """Live server-layer state for the ``stats`` verb: request and
-        queue gauges plus (when enabled) the metric registry's JSON
-        snapshot -- what ``python -m repro monitor`` polls."""
+        queue gauges plus the metric registry's JSON snapshot -- what
+        ``python -m repro monitor`` polls.  Every count is read back
+        from the registry, its only copy."""
+        m = self.metrics
+        prepares = {
+            outcome: int(m.prepares.value(outcome=outcome))
+            for outcome in ("committed", "aborted", "expired", "failed")
+        }
+        held = self._held_xid is not None
         out: dict[str, Any] = {
-            "requests_served": self.requests_served,
+            "requests_served": self.requests_served(),
             "connections": self.connections,
             "inflight": self.inflight,
             "queue_depth": self._queue.qsize(),
             "uptime_s": round(time() - self.started_at, 3),
             "poisoned": self.poisoned,
             "prepares": {
-                "held": self._held_xid is not None,
-                "prepared": self.prepares,
-                "committed": self.prepare_commits,
-                "aborted": self.prepare_aborts,
-                "expired": self.prepare_expired,
+                "held": held,
+                # Every prepare ends in exactly one outcome, or is held.
+                "prepared": sum(prepares.values()) + held,
+                **prepares,
             },
             "replication": {
                 "role": self.role,
                 "primary": self.primary,
                 "replicas": len(self._replicas),
-                "shipped": self.repl_shipped,
-                "applied": self.repl_applied,
+                "shipped": int(m.repl_shipped.total()),
+                "applied": int(m.repl_applied.total()),
                 "applied_lsn": self.applied_lsn,
                 "lag": self.replication_lag(),
             },
@@ -1382,8 +1378,7 @@ class DatabaseService:
                 "exported": self.span_sink.exported,
                 "sample": self.span_sink.sample,
             }
-        if self.metrics is not None:
-            out["metrics"] = self.metrics.registry.snapshot()
+        out["metrics"] = m.registry.snapshot()
         return out
 
     def wal_size_bytes(self) -> int:
@@ -1512,7 +1507,6 @@ class DatabaseService:
             self._ack_mutation(future, error)
             return
         xid = frame["xid"]
-        self.prepares += 1
         self._held_xid = xid
         requirements = [
             {
@@ -1552,7 +1546,6 @@ class DatabaseService:
                 ) = await asyncio.wait_for(self._decisions.get(), remaining)
                 if dxid == "__drain__":
                     prepared.abort()
-                    self.prepare_aborts += 1
                     self._observe_prepare("aborted")
                     return
                 if dxid != xid:
@@ -1569,7 +1562,6 @@ class DatabaseService:
                 break
         except asyncio.TimeoutError:
             prepared.abort()
-            self.prepare_expired += 1
             self._expired_xids.append(xid)
             self._observe_prepare("expired")
             return
@@ -1577,7 +1569,6 @@ class DatabaseService:
             self._held_xid = None
         if not commit:
             prepared.abort()
-            self.prepare_aborts += 1
             self._observe_prepare("aborted")
             if not dfuture.done():
                 dfuture.set_result(ok_frame(drequest_id, None))
@@ -1587,10 +1578,10 @@ class DatabaseService:
                 dspan if dspan is not None else span, prepared.commit, xid=xid
             )
         except Exception as exc:
+            self._observe_prepare("failed")
             outcome = _error_for(drequest_id, exc)
         else:
             if durable:
-                self.prepare_commits += 1
                 self._observe_prepare("committed")
                 outcome = ok_frame(
                     drequest_id,
@@ -1602,6 +1593,7 @@ class DatabaseService:
                 if self.db.wal is not None:
                     outcome["lsn"] = self.db.wal.next_lsn - 1
             else:
+                self._observe_prepare("failed")
                 outcome = self._poisoned_frame(drequest_id)
         if (
             outcome.get("ok")
@@ -1623,8 +1615,7 @@ class DatabaseService:
         return self.db.apply_batch_prepare(ops)
 
     def _observe_prepare(self, outcome: str) -> None:
-        if self.metrics is not None:
-            self.metrics.prepares.labels(outcome=outcome).inc()
+        self.metrics.prepares.labels(outcome=outcome).inc()
 
     def _ack_mutation(self, future: asyncio.Future, outcome: dict) -> None:
         """Resolve one queued mutation's future (inflight bookkeeping
@@ -1738,10 +1729,9 @@ class DatabaseService:
         except (WalError, OSError) as exc:
             self.poisoned = str(exc)
         else:
-            if self.metrics is not None:
-                self.metrics.wal_sync_seconds.observe(
-                    perf_counter() - sync_started
-                )
+            self.metrics.wal_sync_seconds.observe(
+                perf_counter() - sync_started
+            )
             self._remember_span_ctx(parent, lsn_before)
             self._signal_commit()
         finally:
@@ -1801,8 +1791,7 @@ class DatabaseService:
                     else outcome
                     for outcome in outcomes
                 ]
-        if self.metrics is not None:
-            self.metrics.batch_size.observe(len(batch))
+        self.metrics.batch_size.observe(len(batch))
         acked_lsn = (
             self.db.wal.durable_lsn
             if self.db.wal is not None and self.poisoned is None

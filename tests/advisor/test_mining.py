@@ -9,6 +9,7 @@ import dataclasses
 from repro.engine.database import Database
 from repro.engine.query import QueryEngine
 from repro.engine.stats import EngineStats
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.university import university_relational
 
 OFFER_COURSE = "OFFER[O.C.NR] <= COURSE[C.NR]"
@@ -158,12 +159,20 @@ def test_prometheus_exposition_labels_the_series():
     db = _seeded_db()
     q = QueryEngine(db)
     q.join_to(db.get("OFFER", ("c1",)), ["O.C.NR"], "COURSE")
-    text = db.stats.to_prometheus()
+    registry = MetricsRegistry()
+    db.stats.register(registry)
+    text = registry.render()
     assert (
         'repro_engine_ind_joins{ind="OFFER[O.C.NR] <= COURSE[C.NR]"} 1'
         in text
     )
     assert 'repro_engine_scheme_mutations{scheme="COURSE"} 1' in text
-    # An empty series emits nothing (no bare dict in the exposition).
-    fresh = EngineStats()
-    assert "ind_joins" not in fresh.to_prometheus()
+    # An empty series emits no sample (no bare dict in the exposition).
+    registry = MetricsRegistry()
+    EngineStats().register(registry)
+    samples = [
+        line
+        for line in registry.render().splitlines()
+        if not line.startswith("#")
+    ]
+    assert not [line for line in samples if "ind_joins" in line]

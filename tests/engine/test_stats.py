@@ -7,7 +7,15 @@ import pytest
 from repro.engine.database import Database
 from repro.engine.query import QueryEngine
 from repro.engine.stats import EngineStats
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.university import university_state
+
+
+def _exposition(stats: EngineStats) -> str:
+    """``stats`` rendered through a metrics registry."""
+    registry = MetricsRegistry()
+    stats.register(registry)
+    return registry.render()
 
 
 def test_reset_zeroes_every_field():
@@ -69,20 +77,11 @@ def test_observe_builds_per_op_histograms():
     assert summary["insert"]["p50_us"] <= 16.0
 
 
-def test_record_latencies_times_mutations(university_schema):
-    db = Database(university_schema, record_latencies=True)
-    db.insert("COURSE", {"C.NR": "c1"})
-    db.update("COURSE", "c1", {"C.NR": "c1"})
-    db.delete("COURSE", "c1")
-    assert {"insert", "update", "delete"} <= set(db.stats.latencies)
-    assert db.stats.latencies["insert"].count == 1
-
-
 def test_prometheus_export_shape():
     stats = EngineStats(inserts=3)
     stats.observe("insert", 2e-6)
     stats.observe("insert", 3e-6)
-    text = stats.to_prometheus()
+    text = _exposition(stats)
     assert "repro_engine_inserts 3" in text
     assert '# TYPE repro_engine_op_latency_seconds histogram' in text
     assert 'repro_engine_op_latency_seconds_bucket{op="insert",le="+Inf"} 2' in text
@@ -171,8 +170,9 @@ def test_group_commit_counters_reset_and_export(university_schema):
     db.insert("COURSE", {"C.NR": "c1"})
     db.sync_wal()
     assert db.stats.snapshot()["wal_group_commits"] == 1
-    assert "repro_engine_wal_group_commits 1" in db.stats.to_prometheus()
-    assert "repro_engine_wal_batched_records 1" in db.stats.to_prometheus()
+    text = _exposition(db.stats)
+    assert "repro_engine_wal_group_commits 1" in text
+    assert "repro_engine_wal_batched_records 1" in text
     db.stats.reset()
     assert db.stats.wal_group_commits == 0
     assert db.stats.wal_batched_records == 0
