@@ -52,7 +52,13 @@ ENGINE_KEYS = frozenset(
 
 #: The optional ``wal`` sub-entry of an engine entry.
 WAL_KEYS = frozenset(
-    ("checkpoint_ms", "insert_wal_off", "insert_wal_on", "wal_overhead_x")
+    (
+        "checkpoint_ms",
+        "insert_wal_off",
+        "insert_wal_on",
+        "insert_many_wal_on",
+        "wal_overhead_x",
+    )
 )
 
 #: The ``advisor`` sub-entry of an engine entry: profile-join latency

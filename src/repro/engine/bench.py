@@ -273,8 +273,10 @@ def _bench_bulk(
 
 
 def _bench_wal(n_ops: int, wal_path: str | None) -> dict[str, float]:
-    """Durability overhead: WAL-off vs WAL-on insert throughput, plus
-    checkpoint latency at the workload's final size.
+    """Durability overhead: WAL-off vs WAL-on insert throughput, rows/s
+    through a WAL'd ``insert_many`` (ten batches of ``n_ops`` rows, one
+    sync per batch), plus checkpoint latency at the workload's final
+    size.
 
     Without an explicit ``wal_path`` the log lives in memory, measuring
     the logging discipline itself (encode + checksum + append) rather
@@ -307,9 +309,21 @@ def _bench_wal(n_ops: int, wal_path: str | None) -> dict[str, float]:
     on_db.checkpoint()
     checkpoint_s = time.perf_counter() - start
     on_db.wal.close()
+    bulk_db = _fresh(with_wal=True)
+    batches = [
+        [{"C.NR": f"walbulk-{b}-{i:06d}"} for i in range(n_ops)]
+        for b in range(10)
+    ]
+    start = time.perf_counter()
+    for batch in batches:
+        bulk_db.insert_many("COURSE", batch)
+        bulk_db.sync_wal()
+    insert_many_on = 10 * n_ops / (time.perf_counter() - start)
+    bulk_db.wal.close()
     return {
         "insert_wal_off": insert_off,
         "insert_wal_on": insert_on,
+        "insert_many_wal_on": insert_many_on,
         "wal_overhead_x": insert_off / insert_on if insert_on else 0.0,
         "checkpoint_ms": checkpoint_s * 1e3,
     }
@@ -510,6 +524,10 @@ def format_report(report: dict[str, Any]) -> str:
                 f"  on {wal['insert_wal_on']:>12.0f}"
                 f"  overhead {wal['wal_overhead_x']:>6.2f}x"
                 f"  checkpoint {wal['checkpoint_ms']:.1f} ms"
+            )
+            lines.append(
+                f"{n:>8} {'wal insert_many':>18} "
+                f"on {wal['insert_many_wal_on']:>12.0f} rows/s"
             )
         advisor = row.get("advisor")
         if advisor:

@@ -48,6 +48,7 @@ from repro.engine.wal import (
     WalError,
     WriteAheadLog,
     delete_record,
+    insert_many_record,
     insert_record,
     merge_record,
     update_record,
@@ -308,7 +309,9 @@ class Database:
             )
         )
 
-    def _wal_append(self, record: dict, op: str, scheme: str | None) -> None:
+    def _wal_append(
+        self, record: dict, op: str, scheme: str | None, rows: int = 1
+    ) -> None:
         """Durably log one accepted mutation (write-ahead: the caller
         has validated it and applies it only after this returns).  A
         storage fault propagates and leaves the mutation unapplied."""
@@ -322,7 +325,7 @@ class Database:
                     kind="wal-append",
                     rule=paper_rule("wal-append"),
                     outcome="logged",
-                    rows=1,
+                    rows=rows,
                 )
             )
 
@@ -739,41 +742,45 @@ class Database:
         arrive in any order.  On any violation the whole batch rolls
         back and the same :class:`ConstraintViolationError` the per-row
         path would raise is re-raised.
+
+        With a log attached, an accepted non-empty batch writes exactly
+        one ``insert_many`` record (:func:`~repro.engine.wal.
+        insert_many_record`) and no ``begin``/``commit`` bracket; a
+        rejected batch writes nothing.
         """
-        timed = self.tracer is not None
-        start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
-        if (
-            self._slotted
-            and self._undo_log is None
-            and self.wal is None
-            and self.tracer is None
-        ):
+        if self._slotted and self._undo_log is None and self.tracer is None:
             rows = rows if isinstance(rows, list) else list(rows)
             fast = bulk_insert_many(self, scheme_name, rows)
             if fast is not None:
-                if timed:
-                    self._observe_ok(
-                        "insert_many", scheme_name, start, rows=len(fast)
-                    )
                 return fast
+        timed = self.tracer is not None
+        start = perf_counter() if timed else 0.0
         stored: list[Tuple] = []
         try:
-            with self.transaction():
+            # No log bracket: the batch's single record, appended once
+            # every check has passed, is its own commit point.  The undo
+            # log still takes the batch back out if that append fails.
+            with _TransactionContext(self, logged=False):
                 for row in rows:
                     t = self._check_shape(table, row)
                     self._check_null_constraints(scheme_name, t)
                     pk = self._check_keys(table, t, replacing=None)
-                    if self.wal is not None:
-                        self._wal_append(
-                            insert_record(scheme_name, t.mapping),
-                            "insert",
-                            scheme_name,
-                        )
                     self._store(table, t, pk)
                     stored.append(t)
                 for t in stored:
                     self._check_references_out(scheme_name, t)
+                if self.wal is not None and stored:
+                    self._wal_append(
+                        insert_many_record(
+                            scheme_name,
+                            table.plan.attr_set,
+                            [t.mapping for t in stored],
+                        ),
+                        "insert_many",
+                        scheme_name,
+                        rows=len(stored),
+                    )
         except ConstraintViolationError as exc:
             if timed:
                 self._observe_reject("insert_many", scheme_name, exc, start)
@@ -1488,10 +1495,15 @@ class _TransactionContext:
     records only.  A commit marker that cannot be written durably rolls
     the whole transaction back in memory and re-raises, so memory never
     runs ahead of what the log can prove committed.
+
+    ``logged=False`` keeps the in-memory undo log but writes no marker:
+    the row-at-a-time ``insert_many`` logs its batch as one record,
+    which is its own commit point.
     """
 
-    def __init__(self, db: Database):
+    def __init__(self, db: Database, logged: bool = True):
         self._db = db
+        self._logged = logged and db.wal is not None
         self._mark: int | None = None
         self._wal_mark: int | None = None
         self._outermost = False
@@ -1501,14 +1513,14 @@ class _TransactionContext:
         if db._undo_log is None:
             db._undo_log = []
             self._outermost = True
-            if db.wal is not None:
+            if self._logged:
                 try:
                     db.wal.begin()
                 except Exception:
                     db._undo_log = None
                     raise
         self._mark = len(db._undo_log)
-        if db.wal is not None:
+        if self._logged:
             self._wal_mark = db.wal.next_lsn
         return db
 
@@ -1517,7 +1529,7 @@ class _TransactionContext:
         db = self._db
         if exc_type is not None:
             db._rollback_to(self._mark)
-            if db.wal is not None:
+            if self._logged:
                 if self._outermost:
                     db.wal.abort()
                 else:
@@ -1526,7 +1538,7 @@ class _TransactionContext:
                 db._undo_log = None
             return False
         if self._outermost:
-            if db.wal is not None:
+            if self._logged:
                 try:
                     db.wal.commit()
                 except Exception:

@@ -14,7 +14,9 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
    ``Database.load_state`` -- without per-record validation, since the
    image was consistent when written.
 3. **Replay** the committed records in log order.  Bare mutation
-   records (written outside a transaction) re-apply directly; a
+   records (written outside a transaction) re-apply directly -- a bare
+   ``insert_many`` record through ``Database.insert_many``, whose
+   slotted checker validates the whole batch at once; a
    ``begin``..``commit`` group replays through ``apply_batch``, whose
    deferred reference checking accepts exactly the groups the original
    transaction accepted.  A group with no ``commit`` (trailing or
@@ -46,6 +48,8 @@ from repro.engine.wal import (
     WalError,
     WriteAheadLog,
     decode_batch_op,
+    decode_batch_ops,
+    decode_insert_many,
     parse_wal,
 )
 from repro.obs.rules import paper_rule
@@ -375,14 +379,17 @@ def _replay_bare(db, report: RecoveryReport, record: dict) -> None:
     """
     from repro.engine.database import ConstraintViolationError
 
-    op = decode_batch_op(record)
     try:
-        if op[0] == "insert":
-            db.insert(op[1], op[2])
-        elif op[0] == "update":
-            db.update(op[1], op[2], op[3])
+        if record["op"] == "insert_many":
+            db.insert_many(*decode_insert_many(record))
         else:
-            db.delete(op[1], op[2])
+            op = decode_batch_op(record)
+            if op[0] == "insert":
+                db.insert(op[1], op[2])
+            elif op[0] == "update":
+                db.update(op[1], op[2], op[3])
+            else:
+                db.delete(op[1], op[2])
     except (ConstraintViolationError, KeyError) as exc:
         raise RecoveryError(
             f"logged record lsn={record.get('lsn')} was rejected on "
@@ -421,7 +428,9 @@ def _replay_group(
         return
     if buffered:
         try:
-            db.apply_batch([decode_batch_op(r) for r in buffered])
+            db.apply_batch(
+                [op for r in buffered for op in decode_batch_ops(r)]
+            )
         except (ConstraintViolationError, KeyError) as exc:
             raise RecoveryError(
                 f"committed transaction {txn} was rejected on replay: "

@@ -23,13 +23,20 @@ the fast path cannot accept touches nothing.
 Fallback discipline.  Every entry point returns ``None`` whenever the
 batch cannot be *proven* acceptable by the columnar checks alone: any
 shape/key/null/reference problem, an operation mix the fast checks do
-not model, or an engine running with a WAL, tracer, or open outer
-transaction.  The caller then re-runs the ordinary row-at-a-time path
+not model, or an engine running with a tracer or an open outer
+transaction (``apply_batch`` also falls back whenever a WAL is
+attached).  The caller then re-runs the ordinary row-at-a-time path
 from scratch on the untouched state, which raises exactly the error
 (and performs exactly the rollback bookkeeping) the per-row semantics
 promise.  The fast path is therefore never authoritative about
 rejection, only about acceptance -- the property the differential
 tests in ``tests/engine/test_differential.py`` pin down.
+
+Logging.  With a WAL attached, :func:`bulk_insert_many` appends the
+batch's single columnar ``insert_many`` record
+(:func:`repro.engine.wal.insert_many_record`) after the batch is proven
+and before any table is touched -- the write-ahead order, with no undo
+log needed: a failed append leaves the state exactly as it was.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from operator import itemgetter
 from typing import Any, Mapping, Sequence
 
 from repro.engine.plans import attr_extractor, contains_null
+from repro.engine.wal import insert_many_record
 from repro.relational.tuples import NULL, Tuple
 
 _new_tuple = object.__new__
@@ -229,6 +237,13 @@ def bulk_insert_many(db, scheme_name: str, rows) -> list[Tuple] | None:
             return None  # malformed rows: the slow path raises canonically
         if prepared is None:
             return None
+        if db.wal is not None:
+            db._wal_append(
+                insert_many_record(scheme_name, table.plan.attr_set, rows),
+                "insert_many",
+                scheme_name,
+                rows=len(rows),
+            )
         _commit_inserts(db, prepared)
     finally:
         if paused:

@@ -27,10 +27,21 @@ values use the same ``{"$null": true}`` marker as
 null-synchronization/part-null equivalence class it left.
 
 Record kinds (the ``op`` field): ``header``, ``insert``, ``update``,
-``delete``, ``load_state``, ``begin``/``commit``/``abort``/``rollback``
+``delete``, ``insert_many`` (one whole batch, columnar -- see below),
+``load_state``, ``merge``, ``begin``/``commit``/``abort``/``rollback``
 (transaction markers) and ``snapshot`` (the checkpoint image, in the
 :func:`repro.io.state_json.state_to_dict` format).  Every record
 carries a monotonically increasing ``lsn``.
+
+An ``insert_many`` record holds ``{scheme, attrs, cols, nulls}``:
+``attrs`` is the scheme's attribute names, sorted; ``cols`` one JSON
+array per attribute, in ``attrs`` order, holding that attribute's value
+for every row of the batch; ``nulls`` maps each attribute that holds
+``NULL`` to the row positions that are null (its ``cols`` entries there
+are JSON ``null`` placeholders).  ``NULL`` is carried as a marker, never
+as a value, so a replayed row re-enters the null-equivalence class it
+left -- the same guarantee the ``{"$null": true}`` marker gives the
+row-shaped records.
 
 Write-ahead discipline
 ----------------------
@@ -41,7 +52,13 @@ violating mutation and the in-memory state never holds a mutation the
 log lost.  Mutations outside a transaction are committed the moment
 their record is durable; mutations inside one are bracketed by
 ``begin``/``commit`` markers and are rolled back at recovery when the
-``commit`` is missing.  A failed append poisons the log (every later
+``commit`` is missing.  An accepted ``insert_many`` writes exactly one
+record and no bracket: a single CRC-framed record is already atomic.
+The slotted bulk checker logs it after proving the batch and before
+storing a row; the row-at-a-time fallback logs it after its deferred
+checks, while its undo log can still take the batch back out should
+the append fail.  Inside a caller's transaction the record sits in that
+transaction's bracket.  A failed append poisons the log (every later
 append raises :class:`WalError`): after a storage fault the process
 must crash and recover, exactly like the DBMSs of Section 5.1 after a
 failed ``ROLLBACK TRANSACTION``.
@@ -69,15 +86,23 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Any, Mapping, Protocol, Sequence
+from itertools import compress, count, repeat
+from operator import is_, itemgetter
+from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from repro.io.state_json import decode_value, encode_value
+from repro.relational.tuples import NULL
 
 #: Format version stamped into every ``header`` record.
 WAL_VERSION = 1
 
 #: Bytes of the ``llllllll cccccccc `` record prefix.
 _PREFIX_LEN = 18
+
+#: Default byte budget of one :meth:`WalCursor.read_after` poll: half
+#: the server's 8 MiB frame limit, leaving room for the reply's framing
+#: and the span contexts stamped onto shipped records.
+POLL_BYTES = 4 * 1024 * 1024
 
 
 class WalError(RuntimeError):
@@ -366,6 +391,48 @@ def insert_record(scheme: str, row: Mapping[str, Any]) -> dict:
     }
 
 
+def insert_many_record(
+    scheme: str, attrs: Iterable[str], rows: Sequence[Mapping[str, Any]]
+) -> dict:
+    """The log payload of one accepted ``insert_many`` batch: one
+    column array per attribute plus the row positions that hold
+    ``NULL`` (see the module docstring).  Every row must carry exactly
+    ``attrs``; the columns are built with C-level passes."""
+    names = sorted(attrs)
+    cols = []
+    nulls: dict[str, list[int]] = {}
+    for name in names:
+        col = list(map(itemgetter(name), rows))
+        if NULL in col:
+            positions = list(compress(count(), map(is_, col, repeat(NULL))))
+            for i in positions:
+                col[i] = None
+            nulls[name] = positions
+        cols.append(col)
+    return {
+        "op": "insert_many",
+        "scheme": scheme,
+        "attrs": names,
+        "cols": cols,
+        "nulls": nulls,
+    }
+
+
+def decode_insert_many(record: Mapping[str, Any]) -> tuple[str, list[dict]]:
+    """An ``insert_many`` record as ``(scheme, rows)``, with ``NULL``
+    restored at the positions the record lists (the record itself is
+    left untouched)."""
+    attrs = record["attrs"]
+    cols = list(record["cols"])
+    for name, positions in record["nulls"].items():
+        j = attrs.index(name)
+        col = cols[j] = list(cols[j])
+        for i in positions:
+            col[i] = NULL
+    rows = list(map(dict, map(zip, repeat(attrs), zip(*cols))))
+    return record["scheme"], rows
+
+
 def update_record(
     scheme: str, pk: tuple[Any, ...], updates: Mapping[str, Any]
 ) -> dict:
@@ -435,6 +502,16 @@ def decode_batch_op(record: Mapping[str, Any]) -> tuple:
             tuple(decode_value(v) for v in record["pk"]),
         )
     raise WalError(f"record op {op!r} is not a mutation")
+
+
+def decode_batch_ops(record: Mapping[str, Any]) -> list[tuple]:
+    """A mutation record as the ``apply_batch`` op tuples it replays as:
+    one per row for ``insert_many``, otherwise :func:`decode_batch_op`'s
+    single op."""
+    if record["op"] == "insert_many":
+        scheme, rows = decode_insert_many(record)
+        return [("insert", scheme, row) for row in rows]
+    return [decode_batch_op(record)]
 
 
 # -- the log itself -----------------------------------------------------------
@@ -764,10 +841,17 @@ class WalCursor:
         return self._offset
 
     def read_after(
-        self, after_lsn: int, up_to_lsn: int, max_records: int = 512
+        self,
+        after_lsn: int,
+        up_to_lsn: int,
+        max_records: int = 512,
+        max_bytes: int = POLL_BYTES,
     ) -> list[dict]:
         """Up to ``max_records`` records with
-        ``after_lsn < lsn <= up_to_lsn``, in log order.
+        ``after_lsn < lsn <= up_to_lsn``, in log order, stopping before
+        the record that would take the batch's encoded size past
+        ``max_bytes`` (the first record always ships, so an oversized
+        one cannot stall the stream).
 
         ``header`` records (no replayable content) are filtered out.
         Returns ``[]`` when the replica is caught up."""
@@ -782,6 +866,7 @@ class WalCursor:
             base = self._offset
         records: list[dict] = []
         offset = 0
+        shipped_bytes = 0
         while offset < len(data) and len(records) < max_records:
             record, next_offset, _error = _parse_one(data, offset)
             if record is None:
@@ -789,10 +874,13 @@ class WalCursor:
             lsn = record.get("lsn", 0)
             if lsn > up_to_lsn:
                 break  # not durable yet; do not advance past it
+            size = next_offset - offset
+            shipping = record["op"] != "header" and lsn > after_lsn
+            if shipping and records and shipped_bytes + size > max_bytes:
+                break  # over budget; the next poll resumes here
             offset = next_offset
             self._offset = base + offset
-            if record["op"] == "header":
-                continue
-            if lsn > after_lsn:
+            if shipping:
                 records.append(record)
+                shipped_bytes += size
         return records

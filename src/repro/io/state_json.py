@@ -14,7 +14,8 @@ colliding with legitimate string values::
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationalSchema

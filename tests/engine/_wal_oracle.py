@@ -13,11 +13,14 @@ between the two is evidence, not tautology.
 The oracle applies a committed group's records in order (it has no
 deferred reference checking), so test workloads keep their batches
 order-safe: parents before children, children deleted before parents.
+A columnar ``insert_many`` record is decoded here, by this module's own
+code, and applied row by row.
 """
 
 from repro.engine.oracle import OracleDatabase
 from repro.engine.wal import decode_batch_op, parse_wal
 from repro.io.state_json import state_from_dict
+from repro.relational.tuples import NULL
 
 
 def oracle_replay(
@@ -91,6 +94,10 @@ def _apply(oracle: OracleDatabase, record: dict) -> OracleDatabase:
         )
         merged.load_state(simplified.forward.apply(oracle.state()))
         return merged
+    if record["op"] == "insert_many":
+        for row in _columnar_rows(record):
+            oracle.insert(record["scheme"], row)
+        return oracle
     op = decode_batch_op(record)
     if op[0] == "insert":
         oracle.insert(op[1], op[2])
@@ -99,3 +106,19 @@ def _apply(oracle: OracleDatabase, record: dict) -> OracleDatabase:
     else:
         oracle.delete(op[1], op[2])
     return oracle
+
+
+def _columnar_rows(record: dict) -> list[dict]:
+    """The rows of an ``insert_many`` record: row ``i`` takes entry
+    ``i`` of every column, or ``NULL`` where the column's null list
+    names ``i``."""
+    attrs, cols, nulls = record["attrs"], record["cols"], record["nulls"]
+    n_rows = len(cols[0])
+    assert all(len(col) == n_rows for col in cols), "ragged columns"
+    rows = []
+    for i in range(n_rows):
+        row = {}
+        for name, col in zip(attrs, cols):
+            row[name] = NULL if i in nulls.get(name, ()) else col[i]
+        rows.append(row)
+    return rows

@@ -588,6 +588,82 @@ def test_slotted_insert_many_matches_dict_row_paths(seed, null_semantics):
             assert fast.state() == oracle.state()
 
 
+# -- slotted versus dict-row differential, with a log attached -----------------
+#
+# With a WAL attached both checkers log an accepted batch as one
+# columnar ``insert_many`` record (and a rejected one not at all); each
+# engine's log must recover to exactly that engine's live state.
+
+from repro.engine.recovery import recover_database
+from repro.engine.wal import MemoryStorage, WriteAheadLog, parse_wal
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    null_semantics=st.sampled_from(["distinct", "identical"]),
+)
+def test_logged_insert_many_matches_across_checkers_and_recovers(
+    seed, null_semantics
+):
+    schema = random_schema(PARAMS, seed=seed % 7).schema
+    rng = random.Random(seed * 17 + 3)
+    engines = [
+        Database(
+            schema,
+            null_semantics=null_semantics,
+            wal=WriteAheadLog(MemoryStorage()),
+            slotted=slotted,
+        )
+        for slotted in (True, False)
+    ]
+    fast, slow = engines
+    oracle = OracleDatabase(schema, null_semantics=null_semantics)
+    required = {s.name: _required_attrs(schema, s.name) for s in schema.schemes}
+    _seed_base_state(rng, schema, required, engines, oracle)
+
+    for _ in range(8):
+        name = rng.choice(list(schema.scheme_names))
+        scheme = schema.scheme(name)
+        # Rows a trial oracle accepts one by one (so most batches are
+        # accepted, NULLs included), then sometimes a poison row: an
+        # intra-batch duplicate or an unfiltered random row.
+        trial = OracleDatabase(schema, null_semantics=null_semantics)
+        trial.load_state(fast.state())
+        rows = []
+        for _ in range(rng.randint(1, 30)):
+            row = _random_row(rng, scheme, required[name])
+            try:
+                trial.insert(name, dict(row))
+            except (ConstraintViolationError, KeyError):
+                continue
+            rows.append(row)
+        roll = rng.random()
+        if roll < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif roll < 0.4 or not rows:
+            rows.append(_random_row(rng, scheme, required[name]))
+        lsns = [db.wal.next_lsn for db in engines]
+        ok = _apply_both(
+            lambda: fast.insert_many(name, [dict(r) for r in rows]),
+            lambda: slow.insert_many(name, [dict(r) for r in rows]),
+        )
+        assert fast.state() == slow.state()
+        for db, lsn in zip(engines, lsns):
+            assert db.wal.next_lsn - lsn == (1 if ok else 0)
+            if ok:
+                last = parse_wal(db.wal.storage.read()).records[-1]
+                assert last["op"] == "insert_many"
+
+    for db in engines:
+        recovered = recover_database(
+            schema,
+            storage=MemoryStorage(db.wal.storage.read()),
+            null_semantics=null_semantics,
+        ).database
+        assert recovered.state() == db.state()
+
+
 # -- crash-recovery property test ----------------------------------------------
 #
 # Random mutation sequences against a WAL-backed engine whose storage

@@ -166,11 +166,24 @@ def test_fault_on_checkpoint_keeps_old_log(schema):
     assert db.stats.checkpoints == 0
 
 
-def test_insert_many_fault_rolls_back_whole_batch(schema):
-    # Sites: 0 header, 1 begin, 2/3/4 inserts -> fault on the third row.
-    db = Database(schema, wal=WriteAheadLog(FaultyStorage(fail_at=4)))
+def _insert_many_fault(schema, slotted: bool) -> None:
+    # Sites: 0 header, 1 the batch's single insert_many record.
+    storage = FaultyStorage(fail_at=1)
+    db = Database(schema, wal=WriteAheadLog(storage), slotted=slotted)
     with pytest.raises(InjectedFault):
         db.insert_many(
             "COURSE", [{"C.NR": f"c{i}"} for i in range(3)]
         )
     assert db.count("COURSE") == 0
+    assert [r["op"] for r in parse_wal(storage.read()).records] == ["header"]
+
+
+def test_insert_many_fault_rolls_back_whole_batch(schema):
+    """The slotted checker logs before storing: nothing lands."""
+    _insert_many_fault(schema, slotted=True)
+
+
+def test_row_path_insert_many_fault_undoes_stored_rows(schema):
+    """The row-at-a-time fallback stores first and logs last; a failed
+    append takes every stored row back out."""
+    _insert_many_fault(schema, slotted=False)

@@ -49,10 +49,13 @@ class _ScriptAbort(Exception):
 
 def _mutation_script(db: Database) -> None:
     """A deterministic workload covering every logged mutation path:
-    bare inserts/updates/deletes, an explicit transaction, a rejected
-    op (never logged), ``insert_many``, ``apply_batch``, an aborted
-    transaction, a checkpoint, post-checkpoint mutations, and a nested
-    transaction with an inner rollback.
+    bare inserts/updates/deletes, an explicit transaction (holding an
+    ``insert_many`` record), a rejected op (never logged),
+    ``insert_many``, ``apply_batch``, an aborted transaction, a
+    checkpoint, post-checkpoint mutations, a nested transaction with an
+    inner rollback, and an online merge followed by an ``insert_many``
+    whose rows carry ``NULL`` in the merged scheme's nullable columns
+    and reference rows stored earlier.
 
     Batches are order-safe (parents before children) so the scan-oracle
     interpreter can replay committed groups record by record.
@@ -70,6 +73,7 @@ def _mutation_script(db: Database) -> None:
         db.insert("TEACH", {"T.C.NR": "c1", "T.F.SSN": "s1"})
         db.insert("ASSIST", {"A.C.NR": "c1", "A.S.SSN": "s2"})
         db.update("OFFER", ("c1",), {"O.D.NAME": "math"})
+        db.insert_many("COURSE", [{"C.NR": "t0"}, {"C.NR": "t1"}])
     try:  # a rejected mutation leaves no log record at all
         db.insert("OFFER", {"O.C.NR": "ghost", "O.D.NAME": "cs"})
     except ConstraintViolationError:
@@ -102,6 +106,17 @@ def _mutation_script(db: Database) -> None:
         except _ScriptAbort:
             pass
         db.insert("OFFER", {"O.C.NR": "c9", "O.D.NAME": "cs"})
+    merged = db.apply_merge_online(
+        ["COURSE", "OFFER", "TEACH", "ASSIST"]
+    ).info.merged_name
+    db.insert_many(
+        merged,
+        [
+            {"C.NR": "n0", "O.D.NAME": NULL, "T.F.SSN": NULL, "A.S.SSN": NULL},
+            {"C.NR": "n1", "O.D.NAME": "cs", "T.F.SSN": "s1", "A.S.SSN": NULL},
+            {"C.NR": "n2", "O.D.NAME": "math", "T.F.SSN": NULL, "A.S.SSN": "s2"},
+        ],
+    )
 
 
 def _run_until_crash(schema, storage, preload=None) -> bool:
@@ -149,8 +164,9 @@ def _assert_recovers_exactly(schema, path: str) -> None:
     assert result.report.verified
     assert db.state() == expected.state()
 
-    # The recovered state round-trips through state_json unchanged.
-    assert state_from_dict(state_to_dict(db.state()), schema) == db.state()
+    # The recovered state round-trips through state_json unchanged (on
+    # the schema the log left it on, merged or not).
+    assert state_from_dict(state_to_dict(db.state()), db.schema) == db.state()
 
     # The repaired log accepts new mutations and recovers again.
     db.insert("PERSON", {"P.SSN": "post-crash"})

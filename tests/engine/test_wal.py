@@ -12,7 +12,7 @@ import zlib
 
 import pytest
 
-from repro.engine.database import Database
+from repro.engine.database import ConstraintViolationError, Database
 from repro.engine.wal import (
     FileStorage,
     MemoryStorage,
@@ -20,8 +20,11 @@ from repro.engine.wal import (
     WalError,
     WriteAheadLog,
     decode_batch_op,
+    decode_batch_ops,
+    decode_insert_many,
     delete_record,
     encode_record,
+    insert_many_record,
     insert_record,
     parse_wal,
     update_record,
@@ -50,6 +53,22 @@ GOLDEN_RECORDS = [
         dict(delete_record("OFFER", ("c1",)), lsn=4),
         b'00000034 a126a7fb {"lsn":4,"op":"delete","pk":["c1"],'
         b'"scheme":"OFFER"}\n',
+    ),
+    (
+        dict(
+            insert_many_record(
+                "OFFER",
+                ["O.D.NAME", "O.C.NR"],
+                [
+                    {"O.C.NR": "c1", "O.D.NAME": NULL},
+                    {"O.C.NR": "c2", "O.D.NAME": "cs"},
+                ],
+            ),
+            lsn=11,
+        ),
+        b'00000086 b7e451e2 {"attrs":["O.C.NR","O.D.NAME"],'
+        b'"cols":[["c1","c2"],[null,"cs"]],"lsn":11,'
+        b'"nulls":{"O.D.NAME":[0]},"op":"insert_many","scheme":"OFFER"}\n',
     ),
     (
         {"op": "header", "version": WAL_VERSION, "lsn": 1},
@@ -109,6 +128,74 @@ def test_golden_null_round_trips_as_null():
 def test_decode_batch_op_rejects_non_mutations():
     with pytest.raises(WalError):
         decode_batch_op({"op": "header", "version": 1})
+
+
+def test_insert_many_record_round_trips_null_as_marker():
+    """A column's NULLs travel as row positions, not as values: the
+    decoded rows hold the NULL singleton exactly there, and a ``None``
+    value elsewhere stays ``None``."""
+    rows = [
+        {"A": "x", "B": NULL, "C": 1},
+        {"A": "y", "B": None, "C": NULL},
+        {"A": "z", "B": NULL, "C": 3},
+    ]
+    record = insert_many_record("S", ["C", "B", "A"], rows)
+    assert record["attrs"] == ["A", "B", "C"]
+    assert record["nulls"] == {"B": [0, 2], "C": [1]}
+    (parsed,) = parse_wal(encode_record(dict(record, lsn=2))).records
+    scheme, decoded = decode_insert_many(parsed)
+    assert scheme == "S"
+    assert decoded == rows
+    assert decoded[0]["B"] is NULL and decoded[1]["C"] is NULL
+    assert decoded[1]["B"] is None
+    # Decoding leaves the record itself untouched (a replica may still
+    # re-log or inspect it).
+    assert parsed["cols"][1] == [None, None, None]
+    assert decode_batch_ops(parsed) == [("insert", "S", r) for r in rows]
+
+
+def test_decode_batch_ops_wraps_single_op_records():
+    record = dict(delete_record("OFFER", ("c1",)), lsn=4)
+    assert decode_batch_ops(record) == [("delete", "OFFER", ("c1",))]
+
+
+def _ops_after_header(db: Database) -> list[str]:
+    return [r["op"] for r in parse_wal(db.wal.storage.read()).records[1:]]
+
+
+@pytest.mark.parametrize("slotted", [True, False])
+def test_insert_many_writes_exactly_one_record(slotted):
+    db = Database(
+        university_relational(),
+        wal=WriteAheadLog(MemoryStorage()),
+        slotted=slotted,
+    )
+    db.insert_many("COURSE", [{"C.NR": f"c{i}"} for i in range(5)])
+    assert _ops_after_header(db) == ["insert_many"]
+    # A rejected batch (a dangling reference) logs nothing at all.
+    with pytest.raises(ConstraintViolationError):
+        db.insert_many(
+            "OFFER",
+            [
+                {"O.C.NR": "c0", "O.D.NAME": "cs"},
+                {"O.C.NR": "nope", "O.D.NAME": "cs"},
+            ],
+        )
+    assert _ops_after_header(db) == ["insert_many"]
+    # An empty batch changes nothing and logs nothing.
+    assert db.insert_many("COURSE", []) == []
+    assert _ops_after_header(db) == ["insert_many"]
+    # Inside a caller's transaction the record sits in its bracket.
+    with db.transaction():
+        db.insert("DEPARTMENT", {"D.NAME": "cs"})
+        db.insert_many("OFFER", [{"O.C.NR": "c0", "O.D.NAME": "cs"}])
+    assert _ops_after_header(db) == [
+        "insert_many",
+        "begin",
+        "insert",
+        "insert_many",
+        "commit",
+    ]
 
 
 # -- parsing -------------------------------------------------------------------

@@ -188,3 +188,19 @@ class TestStateRoundTrip:
     def test_encoding_is_deterministic(self, university_schema):
         state = university_state(n_courses=6, seed=1)
         assert state_to_dict(state) == state_to_dict(state)
+
+
+def test_decode_value_accepts_any_mapping_null_marker():
+    """The null marker is recognised by the ``Mapping`` ABC, not by
+    ``dict`` alone: a read-only view carrying ``{"$null": true}`` still
+    decodes to the NULL singleton, and other values pass through."""
+    from types import MappingProxyType
+
+    from repro.io.state_json import decode_value
+    from repro.relational.tuples import NULL
+
+    assert decode_value(MappingProxyType({"$null": True})) is NULL
+    assert decode_value({"$null": True}) is NULL
+    other = MappingProxyType({"$null": False})
+    assert decode_value(other) is other
+    assert decode_value("x") == "x"

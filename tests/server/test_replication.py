@@ -25,10 +25,14 @@ from repro.client import Client, ReplicatedClient, RemoteError
 from repro.engine.database import Database
 from repro.engine.recovery import recover_database
 from repro.engine.wal import (
+    POLL_BYTES,
     MemoryStorage,
     WalCursor,
     WriteAheadLog,
+    encode_record,
+    insert_many_record,
     insert_record,
+    parse_wal,
 )
 from repro.io import relational_schema_to_dict, state_to_dict
 from repro.server import ServerConfig, ServerProcess, ServerThread
@@ -128,6 +132,46 @@ def test_cursor_detects_checkpoint_compaction():
     assert [r["op"] for r in records] == ["snapshot"]
 
 
+def test_cursor_polls_stay_under_the_byte_budget():
+    """Batch records are large: a poll stops at its byte budget (always
+    shipping at least one record), and successive polls still return
+    every record exactly once, in lsn order."""
+    wal = WriteAheadLog(MemoryStorage())
+    for b in range(6):
+        rows = [{"C.NR": f"b{b}-{i:04d}"} for i in range(200)]
+        wal.append(insert_many_record("COURSE", ["C.NR"], rows))
+        wal.append(insert_record("COURSE", {"C.NR": f"single-{b}"}))
+    wal.sync()
+    sizes = {
+        r["lsn"]: len(encode_record(r))
+        for r in WalCursor(wal.storage).read_after(0, wal.durable_lsn)
+    }
+    budget = max(sizes.values()) + 100  # fits one batch, never two
+    cursor = WalCursor(wal.storage)
+    shipped: list[int] = []
+    polls = 0
+    while True:
+        records = cursor.read_after(
+            shipped[-1] if shipped else 0, wal.durable_lsn, max_bytes=budget
+        )
+        if not records:
+            break
+        polls += 1
+        assert sum(sizes[r["lsn"]] for r in records) <= budget
+        shipped.extend(r["lsn"] for r in records)
+    assert shipped == sorted(sizes) == list(range(2, 14))
+    assert polls >= 6
+    # A record larger than the whole budget still ships, alone.
+    (record,) = WalCursor(wal.storage).read_after(0, wal.durable_lsn, max_bytes=1)
+    assert record["lsn"] == 2
+
+
+def test_default_poll_budget_is_below_the_frame_limit():
+    from repro.server.protocol import MAX_FRAME_BYTES
+
+    assert POLL_BYTES < MAX_FRAME_BYTES
+
+
 # -- in-process: catch-up, reads, rejection, promotion -------------------------
 
 
@@ -152,6 +196,40 @@ def test_replica_bootstraps_from_snapshot_and_streams():
             # The primary reports its attached synchronous replica.
             with Client(port=primary.port, timeout=30) as c:
                 assert c.repl_status()["replicas"] >= 1
+
+
+def test_replica_redoes_insert_many_batches():
+    """A batch travels as one columnar record: the replica redoes it
+    through its own validating ``insert_many`` (one record in its own
+    log too) and ends on exactly the primary's state."""
+    with ServerThread(_database(), ServerConfig()) as primary:
+        with _replica_thread(primary) as replica:
+            with Client(port=primary.port, timeout=30) as c:
+                for b in range(3):
+                    c.insert_many(
+                        "COURSE",
+                        [{"C.NR": f"b{b}-{i:04d}"} for i in range(500)],
+                    )
+                c.insert("DEPARTMENT", {"D.NAME": "cs"})
+                c.insert_many(
+                    "OFFER",
+                    [{"O.C.NR": f"b1-{i:04d}", "O.D.NAME": "cs"} for i in range(50)],
+                )
+                lsn = c.last_lsn
+            _await_applied(replica.port, lsn)
+            with Client(port=replica.port, timeout=30) as rc:
+                for b in range(3):
+                    assert rc.get("COURSE", f"b{b}-0000") is not None
+                    assert rc.get("COURSE", f"b{b}-0499") is not None
+                assert rc.get("OFFER", "b1-0049") == {
+                    "O.C.NR": "b1-0049",
+                    "O.D.NAME": "cs",
+                }
+            assert replica.db.state() == primary.db.state()
+            replica_ops = [
+                r["op"] for r in parse_wal(replica.db.wal.storage.read()).records
+            ]
+            assert replica_ops.count("insert_many") == 4
 
 
 def test_replica_attaches_mid_stream():
