@@ -33,8 +33,10 @@ Two layers keep the enforcement fast (see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
+import gc
+from itertools import repeat
 from time import perf_counter
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.engine.plans import (
     CompiledReference,
@@ -42,11 +44,12 @@ from repro.engine.plans import (
     attr_extractor,
     compile_schema,
 )
-from repro.engine.rows import bulk_apply, bulk_insert_many
+from repro.engine.rows import bulk_apply, bulk_insert
 from repro.engine.stats import EngineStats
 from repro.engine.wal import (
     WalError,
     WriteAheadLog,
+    batch_record,
     delete_record,
     insert_many_record,
     insert_record,
@@ -441,26 +444,16 @@ class Database:
     def _referenced_exists_via(
         self, ref: CompiledReference, value: tuple[Any, ...]
     ) -> bool:
+        # Both sides of every inclusion dependency are a primary key or
+        # carry a group index (see ``__init__``), so no probe here scans.
         table = self._tables[ref.scheme]
-        scanned = 0
+        self.stats.index_hits += 1
         if ref.is_pk:
-            self.stats.index_hits += 1
             path = "pk-index"
             found = value in table.rows
-        elif (index := table.group_indexes.get(ref.attrs)) is not None:
-            self.stats.index_hits += 1
-            path = "group-index"
-            found = bool(index.get(value))
         else:
-            self.stats.index_misses += 1
-            scanned = len(table.rows)
-            self.stats.tuples_scanned += scanned
-            path = "scan"
-            attrs = ref.attrs
-            found = any(
-                tuple(row[a] for a in attrs) == value
-                for row in table.rows.values()
-            )
+            path = "group-index"
+            found = bool(table.group_indexes[ref.attrs].get(value))
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEvent(
@@ -472,7 +465,7 @@ class Database:
                     rule=paper_rule("inclusion-dependency"),
                     outcome="found" if found else "absent",
                     access_path=path,
-                    rows=scanned,
+                    rows=0,
                 )
             )
         return found
@@ -497,29 +490,6 @@ class Database:
             for row in table.rows.values()
         )
 
-    def _trace_restrict(
-        self,
-        ref: CompiledReference,
-        path: str,
-        scanned: int,
-        blocker: str | None,
-    ) -> None:
-        """Emit the restrict-probe event for one incoming reference."""
-        self.tracer.emit(
-            TraceEvent(
-                event="restrict-check",
-                op="referencers",
-                scheme=ref.scheme,
-                constraint=str(ref.ind),
-                kind="inclusion-dependency",
-                rule=paper_rule("inclusion-dependency"),
-                outcome="blocked" if blocker is not None else "clear",
-                access_path=path,
-                rows=scanned,
-                detail=blocker,
-            )
-        )
-
     def _blocking_referencer(
         self,
         ref: CompiledReference,
@@ -530,19 +500,17 @@ class Database:
         (ignoring the row keyed ``exclude_pk``), or ``None``."""
         child = self._tables[ref.scheme]
         blocker: str | None = None
-        scanned = 0
+        self.stats.index_hits += 1  # indexed like every IND side
         if ref.is_pk:
-            self.stats.index_hits += 1
             path = "pk-index"
             if value in child.rows:
                 if exclude_pk is None:
                     blocker = f"{ref.ind} (from {ref.scheme})"
                 elif value != exclude_pk:
                     blocker = f"{ref.ind} (row {value!r} of {ref.scheme})"
-        elif (index := child.group_indexes.get(ref.attrs)) is not None:
-            self.stats.index_hits += 1
+        else:
             path = "group-index"
-            referencers = index.get(value)
+            referencers = child.group_indexes[ref.attrs].get(value)
             if referencers:
                 if exclude_pk is None:
                     blocker = f"{ref.ind} (from {ref.scheme})"
@@ -551,20 +519,21 @@ class Database:
                         if pk != exclude_pk:
                             blocker = f"{ref.ind} (row {pk!r} of {ref.scheme})"
                             break
-        else:
-            self.stats.index_misses += 1
-            scanned = len(child.rows)
-            self.stats.tuples_scanned += scanned
-            path = "scan"
-            attrs = ref.attrs
-            for pk, row in child.rows.items():
-                if exclude_pk is not None and pk == exclude_pk:
-                    continue
-                if tuple(row[a] for a in attrs) == value:
-                    blocker = f"{ref.ind} (row {pk!r} of {ref.scheme})"
-                    break
         if self.tracer is not None:
-            self._trace_restrict(ref, path, scanned, blocker)
+            self.tracer.emit(
+                TraceEvent(
+                    event="restrict-check",
+                    op="referencers",
+                    scheme=ref.scheme,
+                    constraint=str(ref.ind),
+                    kind="inclusion-dependency",
+                    rule=paper_rule("inclusion-dependency"),
+                    outcome="blocked" if blocker is not None else "clear",
+                    access_path=path,
+                    rows=0,
+                    detail=blocker,
+                )
+            )
         return blocker
 
     def _referencing_rows_exist(
@@ -746,54 +715,19 @@ class Database:
         With a log attached, an accepted non-empty batch writes exactly
         one ``insert_many`` record (:func:`~repro.engine.wal.
         insert_many_record`) and no ``begin``/``commit`` bracket; a
-        rejected batch writes nothing.
+        rejected batch writes nothing.  It is :meth:`apply_batch`'s
+        one-group case (see :meth:`_bulk`).
         """
         table = self.table(scheme_name)
-        if self._slotted and self._undo_log is None and self.tracer is None:
-            rows = rows if isinstance(rows, list) else list(rows)
-            fast = bulk_insert_many(self, scheme_name, rows)
-            if fast is not None:
-                return fast
-        timed = self.tracer is not None
-        start = perf_counter() if timed else 0.0
-        stored: list[Tuple] = []
-        try:
-            # No log bracket: the batch's single record, appended once
-            # every check has passed, is its own commit point.  The undo
-            # log still takes the batch back out if that append fails.
-            with _TransactionContext(self, logged=False):
-                for row in rows:
-                    t = self._check_shape(table, row)
-                    self._check_null_constraints(scheme_name, t)
-                    pk = self._check_keys(table, t, replacing=None)
-                    self._store(table, t, pk)
-                    stored.append(t)
-                for t in stored:
-                    self._check_references_out(scheme_name, t)
-                if self.wal is not None and stored:
-                    self._wal_append(
-                        insert_many_record(
-                            scheme_name,
-                            table.plan.attr_set,
-                            [t.mapping for t in stored],
-                        ),
-                        "insert_many",
-                        scheme_name,
-                        rows=len(stored),
-                    )
-        except ConstraintViolationError as exc:
-            if timed:
-                self._observe_reject("insert_many", scheme_name, exc, start)
-            raise
-        self.stats.inserts += len(stored)
-        if stored:
-            self.stats.scheme_mutations[scheme_name] = (
-                self.stats.scheme_mutations.get(scheme_name, 0) + len(stored)
-            )
-        self.stats.bulk_rows += len(stored)
-        if timed:
-            self._observe_ok("insert_many", scheme_name, start, rows=len(stored))
-        return stored
+        rows = rows if isinstance(rows, list) else list(rows)
+        return self._bulk(
+            "insert_many",
+            scheme_name,
+            zip(repeat("insert"), repeat(scheme_name), rows),
+            len(rows),
+            lambda: insert_many_record(scheme_name, table.plan.attr_set, rows),
+            lambda log: bulk_insert(self, [(scheme_name, rows)], log),
+        )
 
     def apply_batch(
         self, ops: Iterable[tuple]
@@ -817,41 +751,82 @@ class Database:
         failures raise the same error the per-row path would, dangling
         references left by deletes/updates raise ``restrict-batch``.
 
+        With a log attached, an accepted non-empty batch writes exactly
+        one ``batch`` record (:func:`~repro.engine.wal.batch_record`);
+        a rejected batch writes nothing.
+
         Returns one entry per operation: the stored :class:`Tuple` for
         inserts/updates, ``None`` for deletes.
         """
+        ops = ops if isinstance(ops, list) else list(ops)
+        return self._bulk(
+            "apply_batch",
+            None,
+            ops,
+            len(ops),
+            lambda: self._batch_record(ops),
+            lambda log: bulk_apply(self, ops, log),
+        )
+
+    def _bulk(
+        self,
+        op: str,
+        scheme_name: str | None,
+        ops: Iterable[tuple],
+        n: int,
+        record: Callable[[], dict],
+        fast: Callable[[Callable[[], None] | None], list | None],
+    ) -> list:
+        """The one bulk path behind :meth:`insert_many` and
+        :meth:`apply_batch`: the slotted checker ``fast(log)``
+        (:mod:`repro.engine.rows`) whenever ``slotted`` is set and no
+        outer transaction is open, else -- or when it cannot prove the
+        call -- the row path over the ``n`` op tuples ``ops``.  Either
+        way an accepted non-empty call logs ``record()`` once and traces
+        one ``mutation`` event; a rejected call logs nothing."""
         timed = self.tracer is not None
         start = perf_counter() if timed else 0.0
-        if (
-            self._slotted
-            and self._undo_log is None
-            and self.wal is None
-            and self.tracer is None
-        ):
-            ops = ops if isinstance(ops, list) else list(ops)
-            fast = bulk_apply(self, ops)
-            if fast is not None:
+        log = None
+        if self.wal is not None:
+
+            def log() -> None:
+                self._wal_append(record(), op, scheme_name, rows=n)
+
+        results = None
+        if self._slotted and self._undo_log is None:
+            # A big batch allocates tens of thousands of tracked
+            # containers; without a pause, generational collections walk
+            # the whole database heap mid-batch and roughly double the
+            # slotted checker's per-row cost.
+            paused = gc.isenabled()
+            gc.disable()
+            try:
+                results = fast(log)
+            finally:
+                if paused:
+                    gc.enable()
+        if results is None:
+            try:
+                # No log bracket: the single record, appended once every
+                # check has passed, is the call's commit point.  The undo
+                # log still takes the call back out if that append fails.
+                with _TransactionContext(self, logged=False):
+                    results, pending_out, pending_in = self._apply_ops(ops)
+                    self._verify_deferred(pending_out, pending_in)
+                    if log is not None and results:
+                        log()
+            except ConstraintViolationError as exc:
                 if timed:
-                    self._observe_ok(
-                        "apply_batch", None, start, rows=len(fast)
-                    )
-                return fast
-        try:
-            results = self._apply_batch(ops)
-        except ConstraintViolationError as exc:
-            if timed:
-                self._observe_reject("apply_batch", None, exc, start)
-            raise
+                    self._observe_reject(op, scheme_name, exc, start)
+                raise
+        self.stats.bulk_rows += n
         if timed:
-            self._observe_ok("apply_batch", None, start, rows=len(results))
+            self._observe_ok(op, scheme_name, start, rows=n)
         return results
 
-    def _apply_batch(self, ops: Iterable[tuple]) -> list[Tuple | None]:
-        with self.transaction():
-            results, pending_out, pending_in, n_ops = self._apply_ops(ops)
-            self._verify_deferred(pending_out, pending_in)
-        self.stats.bulk_rows += n_ops
-        return results
+    def _batch_record(self, ops: Sequence[tuple]) -> dict:
+        """The ``batch`` log record of the accepted ``ops``."""
+        return batch_record(ops, lambda name: self._plans[name].attr_set)
 
     def _apply_ops(
         self, ops: Iterable[tuple]
@@ -859,34 +834,25 @@ class Database:
         list[Tuple | None],
         list[tuple[str, Tuple]],
         list[tuple[CompiledReference, tuple[Any, ...]]],
-        int,
     ]:
         """Apply a batch's operations with per-op immediate checks,
         accumulating the deferred reference checks.
 
-        Returns ``(results, pending_out, pending_in, n_ops)``.  The
-        caller owns the enclosing transaction and the deferred
-        verification.
+        Returns ``(results, pending_out, pending_in)``.  The caller owns
+        the enclosing transaction, the deferred verification and the
+        batch's log record.
         """
         results: list[Tuple | None] = []
         pending_out: list[tuple[str, Tuple]] = []
         pending_in: list[tuple[CompiledReference, tuple[Any, ...]]] = []
-        n_ops = 0
         for op in ops:
             kind = op[0]
-            n_ops += 1
             if kind == "insert":
                 _, scheme_name, row = op
                 table = self.table(scheme_name)
                 t = self._check_shape(table, row)
                 self._check_null_constraints(scheme_name, t)
                 pk = self._check_keys(table, t, replacing=None)
-                if self.wal is not None:
-                    self._wal_append(
-                        insert_record(scheme_name, t.mapping),
-                        "insert",
-                        scheme_name,
-                    )
                 self._store(table, t, pk)
                 pending_out.append((scheme_name, t))
                 self.stats.inserts += 1
@@ -907,12 +873,6 @@ class Database:
                     value = ref.extract(old_values)
                     if not any(v is NULL for v in value):
                         pending_in.append((ref, value))
-                if self.wal is not None:
-                    self._wal_append(
-                        delete_record(scheme_name, pk),
-                        "delete",
-                        scheme_name,
-                    )
                 self._unstore(table, pk, old)
                 self.stats.deletes += 1
                 self.stats.count_scheme_mutation(scheme_name)
@@ -942,12 +902,6 @@ class Database:
                         value = ref.extract(old_values)
                         if not any(v is NULL for v in value):
                             pending_in.append((ref, value))
-                if self.wal is not None:
-                    self._wal_append(
-                        update_record(scheme_name, pk, dict(updates)),
-                        "update",
-                        scheme_name,
-                    )
                 self._unstore(table, pk, old)
                 self._store(table, t, new_pk)
                 pending_out.append((scheme_name, t))
@@ -956,7 +910,7 @@ class Database:
                 results.append(t)
             else:
                 raise ValueError(f"unknown batch operation {kind!r}")
-        return results, pending_out, pending_in, n_ops
+        return results, pending_out, pending_in
 
     def _verify_deferred(
         self,
@@ -1056,21 +1010,30 @@ class Database:
         shards come back as requirement dicts on the returned
         :class:`PreparedBatch`, which holds the transaction (and the WAL
         bracket) open until :meth:`PreparedBatch.commit` or
-        :meth:`PreparedBatch.abort`.  The caller must not run other
-        mutations while a prepare is held -- the server's single-writer
-        loop is what guarantees this.
+        :meth:`PreparedBatch.abort`.  With a log attached, the batch's
+        one ``batch`` record is appended inside that bracket.  The caller
+        must not run other mutations while a prepare is held -- the
+        server's single-writer loop is what guarantees this.
         """
+        ops = ops if isinstance(ops, list) else list(ops)
         ctx = self.transaction()
         ctx.__enter__()
         try:
-            results, pending_out, pending_in, n_ops = self._apply_ops(ops)
+            results, pending_out, pending_in = self._apply_ops(ops)
             requirements = self._verify_deferred(
                 pending_out, pending_in, collect_remote=True
             )
+            if self.wal is not None and results:
+                self._wal_append(
+                    self._batch_record(ops),
+                    "apply_batch_prepare",
+                    None,
+                    rows=len(results),
+                )
         except BaseException as exc:
             ctx.__exit__(type(exc), exc, exc.__traceback__)
             raise
-        self.stats.bulk_rows += n_ops
+        self.stats.bulk_rows += len(results)
         return PreparedBatch(self, ctx, results, requirements)
 
     def load_state(self, state: DatabaseState, validate: bool = True) -> None:
@@ -1432,11 +1395,7 @@ class Database:
 
     # -- low-level storage ---------------------------------------------------
 
-    def _store(
-        self, table: _Table, t: Tuple, pk: tuple[Any, ...] | None = None
-    ) -> None:
-        if pk is None:
-            pk = table.plan.pk(t.mapping)
+    def _store(self, table: _Table, t: Tuple, pk: tuple[Any, ...]) -> None:
         self._journal("store", table, pk, None)
         self._store_raw(table, t, pk)
 
@@ -1497,8 +1456,8 @@ class _TransactionContext:
     runs ahead of what the log can prove committed.
 
     ``logged=False`` keeps the in-memory undo log but writes no marker:
-    the row-at-a-time ``insert_many`` logs its batch as one record,
-    which is its own commit point.
+    the row-at-a-time bulk path logs its call as one record, which is
+    its own commit point.
     """
 
     def __init__(self, db: Database, logged: bool = True):

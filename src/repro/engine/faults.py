@@ -125,6 +125,10 @@ class FaultyStorage:
         """Pass through to the base storage."""
         return self.base.read()
 
+    def read_from(self, offset: int, limit: int | None = None) -> bytes:
+        """Pass through to the base storage."""
+        return self.base.read_from(offset, limit)
+
     def truncate(self, size: int) -> None:
         """Pass through to the base storage."""
         self.base.truncate(size)

@@ -14,9 +14,10 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
    ``Database.load_state`` -- without per-record validation, since the
    image was consistent when written.
 3. **Replay** the committed records in log order.  Bare mutation
-   records (written outside a transaction) re-apply directly -- a bare
-   ``insert_many`` record through ``Database.insert_many``, whose
-   slotted checker validates the whole batch at once; a
+   records (written outside a transaction) re-apply through the call
+   that wrote them -- ``insert_many`` and ``batch`` (flattened by
+   :func:`~repro.engine.wal.decode_batch_ops`) through the slotted
+   checker, so a replica re-logs the same record kind; a
    ``begin``..``commit`` group replays through ``apply_batch``, whose
    deferred reference checking accepts exactly the groups the original
    transaction accepted.  A group with no ``commit`` (trailing or
@@ -380,16 +381,13 @@ def _replay_bare(db, report: RecoveryReport, record: dict) -> None:
     from repro.engine.database import ConstraintViolationError
 
     try:
-        if record["op"] == "insert_many":
+        if record["op"] == "batch":
+            db.apply_batch(decode_batch_ops(record))
+        elif record["op"] == "insert_many":
             db.insert_many(*decode_insert_many(record))
-        else:
-            op = decode_batch_op(record)
-            if op[0] == "insert":
-                db.insert(op[1], op[2])
-            elif op[0] == "update":
-                db.update(op[1], op[2], op[3])
-            else:
-                db.delete(op[1], op[2])
+        else:  # insert / update / delete, through the method of that name
+            kind, *args = decode_batch_op(record)
+            getattr(db, kind)(*args)
     except (ConstraintViolationError, KeyError) as exc:
         raise RecoveryError(
             f"logged record lsn={record.get('lsn')} was rejected on "

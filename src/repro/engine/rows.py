@@ -22,33 +22,34 @@ the fast path cannot accept touches nothing.
 
 Fallback discipline.  Every entry point returns ``None`` whenever the
 batch cannot be *proven* acceptable by the columnar checks alone: any
-shape/key/null/reference problem, an operation mix the fast checks do
-not model, or an engine running with a tracer or an open outer
-transaction (``apply_batch`` also falls back whenever a WAL is
-attached).  The caller then re-runs the ordinary row-at-a-time path
-from scratch on the untouched state, which raises exactly the error
-(and performs exactly the rollback bookkeeping) the per-row semantics
-promise.  The fast path is therefore never authoritative about
-rejection, only about acceptance -- the property the differential
-tests in ``tests/engine/test_differential.py`` pin down.
+shape/key/null/reference problem, or an operation mix the fast checks
+do not model (anything but all-insert or all-delete).  The engine does
+not call them inside an open outer transaction, whose undo log they
+would bypass; a WAL or a tracer does not change which checker runs.
+The caller then re-runs the ordinary row-at-a-time path from scratch
+on the untouched state, which raises exactly the error (and performs
+exactly the rollback bookkeeping) the per-row semantics promise.  The
+fast path is therefore never authoritative about rejection, only about
+acceptance -- the property the differential tests in
+``tests/engine/test_differential.py`` pin down.
 
-Logging.  With a WAL attached, :func:`bulk_insert_many` appends the
-batch's single columnar ``insert_many`` record
-(:func:`repro.engine.wal.insert_many_record`) after the batch is proven
-and before any table is touched -- the write-ahead order, with no undo
-log needed: a failed append leaves the state exactly as it was.
+Logging.  Each entry point takes a ``log`` callback (``None`` without
+a WAL) and calls it once, after the batch is proven and before any
+table is touched -- the write-ahead order, with no undo log needed: a
+failed append leaves the state exactly as it was.  The callback
+appends the call's single record (``insert_many`` or ``batch``, see
+:mod:`repro.engine.wal`), which the engine builds from the call's own
+rows or ops, so the row-at-a-time path logs the same bytes.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import deque
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Any, Mapping, Sequence
 
 from repro.engine.plans import attr_extractor, contains_null
-from repro.engine.wal import insert_many_record
 from repro.relational.tuples import NULL, Tuple
 
 _new_tuple = object.__new__
@@ -166,9 +167,7 @@ def _validate_inserts(db, groups):
                         continue
                     return None  # dangling reference
             else:
-                gindex = rtable.group_indexes.get(ref.attrs)
-                if gindex is None:
-                    return None  # unindexed group: slow path scans
+                gindex = rtable.group_indexes[ref.attrs]
                 inbatch = None
                 for v in vals:
                     if gindex.get(v):
@@ -187,11 +186,14 @@ def _validate_inserts(db, groups):
 
 def _commit_inserts(db, prepared) -> None:
     """Apply validated insert groups: bulk row adoption plus the exact
-    index maintenance ``Database._store_raw`` performs per row."""
+    index maintenance ``Database._store_raw`` performs per row, and the
+    insert counters."""
     identical = db.null_semantics == "identical"
     for table, rows, new, _ts in prepared:
         table.rows.update(new)
         table.version += 1
+        db.stats.inserts += len(new)
+        db.stats.count_scheme_mutation(table.scheme.name, len(new))
         for key_names, extract in table.plan.candidate_keys:
             index = table.key_indexes[key_names]
             if identical:
@@ -215,111 +217,72 @@ def _commit_inserts(db, prepared) -> None:
                     bucket[pk] = None
 
 
-def bulk_insert_many(db, scheme_name: str, rows) -> list[Tuple] | None:
-    """Fast path for :meth:`Database.insert_many`.
+def bulk_insert(db, groups, log) -> list[Tuple] | None:
+    """The slotted checker for insert groups: ``insert_many``'s one
+    group, or an all-insert ``apply_batch`` grouped by scheme.
 
-    Returns the stored tuples in row order, or ``None`` to send the
-    batch down the row-at-a-time path (which also reports any error).
+    ``groups`` lists ``(scheme_name, rows)`` pairs, one per scheme.
+    ``log`` (``None`` without a WAL) appends the call's single record
+    once every group is proven and before any table is touched.
+    Returns the stored tuples group after group, each group in row
+    order, or ``None`` to send the call down the row-at-a-time path
+    (which also reports any error).
     """
-    table = db._tables.get(scheme_name)
-    if table is None:
-        return None
-    # A big batch allocates tens of thousands of tracked containers;
-    # without a pause, generational collections walk the whole database
-    # heap mid-batch and roughly double the per-row cost.
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
     try:
-        try:
-            prepared = _validate_inserts(db, [(table, rows)])
-        except (AttributeError, KeyError, TypeError):
-            return None  # malformed rows: the slow path raises canonically
-        if prepared is None:
-            return None
-        if db.wal is not None:
-            db._wal_append(
-                insert_many_record(scheme_name, table.plan.attr_set, rows),
-                "insert_many",
-                scheme_name,
-                rows=len(rows),
-            )
-        _commit_inserts(db, prepared)
-    finally:
-        if paused:
-            gc.enable()
-    ts = prepared[0][3]
-    db.stats.inserts += len(ts)
-    db.stats.bulk_rows += len(ts)
-    if ts:
-        name = prepared[0][0].scheme.name
-        db.stats.scheme_mutations[name] = (
-            db.stats.scheme_mutations.get(name, 0) + len(ts)
+        prepared = _validate_inserts(
+            db, [(db._tables[name], rows) for name, rows in groups]
         )
-    return ts
-
-
-def bulk_apply(db, ops) -> list[Tuple | None] | None:
-    """Fast path for :meth:`Database.apply_batch`.
-
-    Handles all-insert and all-delete batches; anything mixed, malformed
-    or unprovable returns ``None`` for the slow path.
-    """
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()  # see bulk_insert_many: no mid-batch collections
-    try:
-        if not ops:
-            return None  # let the slow path produce its []
-        first = ops[0][0]
-        if first == "insert":
-            return _apply_inserts(db, ops)
-        if first == "delete":
-            return _apply_deletes(db, ops)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError):
-        return None
-    finally:
-        if paused:
-            gc.enable()
-    return None
-
-
-def _apply_inserts(db, ops) -> list[Tuple | None] | None:
-    groups: dict[str, list] = {}
-    order: list[tuple[str, int]] = []
-    for kind, scheme_name, row in ops:
-        if kind != "insert":
-            return None  # mixed batch: slow path
-        rows = groups.get(scheme_name)
-        if rows is None:
-            rows = groups[scheme_name] = []
-        order.append((scheme_name, len(rows)))
-        rows.append(row)
-    glist = []
-    for scheme_name, rows in groups.items():
-        table = db._tables.get(scheme_name)
-        if table is None:
-            return None
-        glist.append((table, rows))
-    prepared = _validate_inserts(db, glist)
+        return None  # unknown scheme or malformed rows: the row path raises
     if prepared is None:
         return None
+    if log is not None:
+        log()
     _commit_inserts(db, prepared)
-    stored = {
-        table.scheme.name: ts for table, _rows, _new, ts in prepared
-    }
-    db.stats.inserts += len(ops)
-    db.stats.bulk_rows += len(ops)
-    for table, _rows, _new, ts in prepared:
-        if ts:
-            name = table.scheme.name
-            db.stats.scheme_mutations[name] = (
-                db.stats.scheme_mutations.get(name, 0) + len(ts)
-            )
-    return [stored[s][i] for s, i in order]
+    return list(chain.from_iterable(ts for *_, ts in prepared))
 
 
-def _apply_deletes(db, ops) -> list[None] | None:
+def bulk_apply(db, ops, log) -> list[Tuple | None] | None:
+    """The slotted checker for :meth:`Database.apply_batch`: all-insert
+    and all-delete batches, ``log`` as in :func:`bulk_insert`.  Anything
+    mixed, malformed or unprovable returns ``None`` for the row path."""
+    groups: dict[str, list] = {}
+    slots = []
+    try:
+        deleting = ops[0][0] == "delete"
+        if deleting:
+            deleted = _validate_deletes(db, ops)
+        else:
+            for kind, scheme_name, row in ops:
+                if kind != "insert":
+                    return None  # mixed batch: the row path decides
+                rows = groups.get(scheme_name)
+                if rows is None:
+                    rows = groups[scheme_name] = []
+                slots.append((scheme_name, len(rows)))
+                rows.append(row)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return None  # empty or malformed batch: the row path raises
+    if deleting:
+        if deleted is None:
+            return None
+        if log is not None:
+            log()
+        _commit_deletes(db, deleted)
+        return [None] * len(ops)
+    stored = bulk_insert(db, list(groups.items()), log)
+    if stored is None:
+        return None
+    offsets = dict(
+        zip(groups, accumulate(map(len, groups.values()), initial=0))
+    )
+    return [stored[offsets[name] + i] for name, i in slots]
+
+
+def _validate_deletes(db, ops) -> dict[str, tuple] | None:
+    """Prove an all-delete batch against the pre-state: returns
+    ``scheme -> (table, {pk: old row})`` ready to commit, or ``None``.
+    Performs no mutation."""
     # Group the batch's keys by scheme, normalizing scalar keys the way
     # the slow path does; a missing row or an intra-batch duplicate is a
     # slow-path matter (KeyError with the canonical message).
@@ -382,21 +345,16 @@ def _apply_deletes(db, ops) -> list[None] | None:
                         vals.add(v)
             if not vals:
                 continue
-            gindex = None
-            if not rhs_is_pk:
-                gindex = table.group_indexes.get(rhs_attrs)
-                if gindex is None:
-                    return None
+            gindex = None if rhs_is_pk else table.group_indexes[rhs_attrs]
             for ref in refs:
                 ctable = db._tables[ref.scheme]
                 centry = deleted.get(ref.scheme)
                 cdead = centry[1] if centry is not None else ()
-                if ref.is_pk:
-                    container = ctable.rows
-                else:
-                    container = ctable.group_indexes.get(ref.attrs)
-                    if container is None:
-                        return None
+                container = (
+                    ctable.rows
+                    if ref.is_pk
+                    else ctable.group_indexes[ref.attrs]
+                )
                 # Values both disappearing and referenced by this child
                 # table, found by scanning the smaller side -- the
                 # common no-conflict batch costs one C-level membership
@@ -422,8 +380,13 @@ def _apply_deletes(db, ops) -> list[None] | None:
                         )
                     if not alive:
                         return None  # slow path raises restrict-batch
-    # Commit: bulk row removal plus the exact index maintenance
-    # ``Database._unstore_raw`` performs per row.
+    return deleted
+
+
+def _commit_deletes(db, deleted) -> None:
+    """Apply a proven delete batch: bulk row removal plus the exact
+    index maintenance ``Database._unstore_raw`` performs per row, and
+    the delete counters."""
     for scheme_name, (table, olds) in deleted.items():
         trows = table.rows
         plan = table.plan
@@ -452,11 +415,5 @@ def _apply_deletes(db, ops) -> list[None] | None:
                     bucket.pop(pk, None)
                     if not bucket:
                         del gindex[value]
-    n_ops = len(ops)
-    db.stats.deletes += n_ops
-    db.stats.bulk_rows += n_ops
-    for scheme_name, (table, olds) in deleted.items():
-        db.stats.scheme_mutations[scheme_name] = (
-            db.stats.scheme_mutations.get(scheme_name, 0) + len(olds)
-        )
-    return [None] * n_ops
+        db.stats.deletes += len(olds)
+        db.stats.count_scheme_mutation(scheme_name, len(olds))

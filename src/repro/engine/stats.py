@@ -87,10 +87,10 @@ class EngineStats:
         """Record one navigation along the inclusion dependency ``ind``."""
         self.ind_joins[ind] = self.ind_joins.get(ind, 0) + 1
 
-    def count_scheme_mutation(self, scheme: str) -> None:
-        """Record one mutation (insert/update/delete) of ``scheme``."""
+    def count_scheme_mutation(self, scheme: str, n: int = 1) -> None:
+        """Record ``n`` mutations (insert/update/delete) of ``scheme``."""
         self.scheme_mutations[scheme] = (
-            self.scheme_mutations.get(scheme, 0) + 1
+            self.scheme_mutations.get(scheme, 0) + n
         )
 
     def reset(self) -> None:

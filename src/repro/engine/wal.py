@@ -28,7 +28,8 @@ null-synchronization/part-null equivalence class it left.
 
 Record kinds (the ``op`` field): ``header``, ``insert``, ``update``,
 ``delete``, ``insert_many`` (one whole batch, columnar -- see below),
-``load_state``, ``merge``, ``begin``/``commit``/``abort``/``rollback``
+``batch`` (one whole ``apply_batch``), ``load_state``, ``merge``,
+``begin``/``commit``/``abort``/``rollback``
 (transaction markers) and ``snapshot`` (the checkpoint image, in the
 :func:`repro.io.state_json.state_to_dict` format).  Every record
 carries a monotonically increasing ``lsn``.
@@ -43,6 +44,11 @@ as a value, so a replayed row re-enters the null-equivalence class it
 left -- the same guarantee the ``{"$null": true}`` marker gives the
 row-shaped records.
 
+A ``batch`` record holds ``{entries}``: the accepted ``apply_batch``'s
+ops in order, each run of inserts into one scheme as an
+``insert_many``-layout entry and each update or delete as its
+``update``/``delete`` record (entries carry no ``lsn``).
+
 Write-ahead discipline
 ----------------------
 
@@ -52,16 +58,18 @@ violating mutation and the in-memory state never holds a mutation the
 log lost.  Mutations outside a transaction are committed the moment
 their record is durable; mutations inside one are bracketed by
 ``begin``/``commit`` markers and are rolled back at recovery when the
-``commit`` is missing.  An accepted ``insert_many`` writes exactly one
-record and no bracket: a single CRC-framed record is already atomic.
-The slotted bulk checker logs it after proving the batch and before
-storing a row; the row-at-a-time fallback logs it after its deferred
-checks, while its undo log can still take the batch back out should
-the append fail.  Inside a caller's transaction the record sits in that
-transaction's bracket.  A failed append poisons the log (every later
-append raises :class:`WalError`): after a storage fault the process
-must crash and recover, exactly like the DBMSs of Section 5.1 after a
-failed ``ROLLBACK TRANSACTION``.
+``commit`` is missing.  An accepted ``insert_many`` or ``apply_batch``
+writes exactly one record and no bracket: a single CRC-framed record is
+already atomic.  Both build it from the call's own rows or ops, so the
+slotted bulk checker (which logs it after proving the call and before
+touching a table) and the row-at-a-time path (which logs it after its
+deferred checks, while its undo log can still take the call back out
+should the append fail) write the same bytes.  Inside a caller's
+transaction the record sits in that transaction's bracket, as does a
+sharded prepare's (``Database.apply_batch_prepare``).  A failed append
+poisons the log (every later append raises :class:`WalError`): after a
+storage fault the process must crash and recover, exactly like the
+DBMSs of Section 5.1 after a failed ``ROLLBACK TRANSACTION``.
 
 The file layer is abstracted behind the :class:`Storage` protocol so
 tests can inject :class:`repro.engine.faults.FaultyStorage` and crash
@@ -86,9 +94,9 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import compress, count, groupby, repeat
 from operator import is_, itemgetter
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from repro.io.state_json import decode_value, encode_value
 from repro.relational.tuples import NULL
@@ -132,6 +140,11 @@ class Storage(Protocol):
         """The full current contents."""
         ...  # pragma: no cover - protocol
 
+    def read_from(self, offset: int, limit: int | None = None) -> bytes:
+        """Up to ``limit`` bytes from ``offset`` (all of them to the end
+        when ``limit`` is ``None``): the replication cursor's window."""
+        ...  # pragma: no cover - protocol
+
     def truncate(self, size: int) -> None:
         """Drop everything beyond ``size`` bytes."""
         ...  # pragma: no cover - protocol
@@ -172,9 +185,10 @@ class MemoryStorage:
         """The full current contents."""
         return bytes(self._data)
 
-    def read_from(self, offset: int) -> bytes:
-        """The contents from ``offset`` to the end (replication tail)."""
-        return bytes(self._data[offset:])
+    def read_from(self, offset: int, limit: int | None = None) -> bytes:
+        """Up to ``limit`` bytes from ``offset`` (replication window)."""
+        end = None if limit is None else offset + limit
+        return bytes(self._data[offset:end])
 
     def truncate(self, size: int) -> None:
         """Drop everything beyond ``size`` bytes."""
@@ -254,14 +268,14 @@ class FileStorage:
         with open(self.path, "rb") as f:
             return f.read()
 
-    def read_from(self, offset: int) -> bytes:
-        """The contents from ``offset`` to the end, without rereading
-        the (potentially large) prefix a replication cursor already
-        shipped."""
+    def read_from(self, offset: int, limit: int | None = None) -> bytes:
+        """Up to ``limit`` bytes from ``offset``, without rereading the
+        (potentially large) prefix a replication cursor already shipped
+        or the tail past its byte budget."""
         self._handle().flush()
         with open(self.path, "rb") as f:
             f.seek(offset)
-            return f.read()
+            return f.read(-1 if limit is None else limit)
 
     def truncate(self, size: int) -> None:
         """Drop everything beyond ``size`` bytes (O_APPEND writes keep
@@ -504,11 +518,39 @@ def decode_batch_op(record: Mapping[str, Any]) -> tuple:
     raise WalError(f"record op {op!r} is not a mutation")
 
 
+def batch_record(
+    ops: Sequence[tuple], attrs_of: Callable[[str], Iterable[str]]
+) -> dict:
+    """The log payload of one accepted ``apply_batch``: its entries in
+    op order, each run of inserts into one scheme as an
+    :func:`insert_many_record` (``attrs_of`` names a scheme's
+    attributes), each update or delete as its :func:`update_record` or
+    :func:`delete_record`.  Built from the validated ops alone, so every
+    checker that accepts the batch logs the same bytes."""
+    entries = []
+    for (kind, scheme), run in groupby(ops, itemgetter(0, 1)):
+        if kind == "insert":
+            rows = list(map(itemgetter(2), run))
+            entries.append(insert_many_record(scheme, attrs_of(scheme), rows))
+            continue
+        for op in run:
+            pk = op[2] if isinstance(op[2], tuple) else (op[2],)
+            entries.append(
+                update_record(scheme, pk, op[3])
+                if kind == "update"
+                else delete_record(scheme, pk)
+            )
+    return {"op": "batch", "entries": entries}
+
+
 def decode_batch_ops(record: Mapping[str, Any]) -> list[tuple]:
     """A mutation record as the ``apply_batch`` op tuples it replays as:
-    one per row for ``insert_many``, otherwise :func:`decode_batch_op`'s
-    single op."""
-    if record["op"] == "insert_many":
+    a ``batch`` record's entries flattened in order, one op per row for
+    ``insert_many``, otherwise :func:`decode_batch_op`'s single op."""
+    op = record["op"]
+    if op == "batch":
+        return [o for e in record["entries"] for o in decode_batch_ops(e)]
+    if op == "insert_many":
         scheme, rows = decode_insert_many(record)
         return [("insert", scheme, row) for row in rows]
     return [decode_batch_op(record)]
@@ -857,20 +899,20 @@ class WalCursor:
         Returns ``[]`` when the replica is caught up."""
         if self.storage.size() < self._offset:
             self._offset = 0  # the log was compacted under us
-        reader = getattr(self.storage, "read_from", None)
-        if reader is not None:
-            data = reader(self._offset)
-            base = self._offset
-        else:
-            data = self.storage.read()[self._offset:]
-            base = self._offset
+        base = self._offset
+        data = self._window(base, max_bytes)
         records: list[dict] = []
         offset = 0
         shipped_bytes = 0
-        while offset < len(data) and len(records) < max_records:
+        while len(records) < max_records:
             record, next_offset, _error = _parse_one(data, offset)
             if record is None:
-                break  # torn or unsynced tail; retry next poll
+                if records or offset == 0:
+                    break  # end, torn tail or window edge: next poll
+                # Only skipped records so far: re-window at this one.
+                base += offset
+                data, offset = self._window(base, max_bytes), 0
+                continue
             lsn = record.get("lsn", 0)
             if lsn > up_to_lsn:
                 break  # not durable yet; do not advance past it
@@ -884,3 +926,18 @@ class WalCursor:
                 records.append(record)
                 shipped_bytes += size
         return records
+
+    def _window(self, offset: int, max_bytes: int) -> bytes:
+        """The bytes a poll parses: ``max_bytes`` from ``offset``, so a
+        catch-up reads its backlog about once in total.  A window that
+        holds no whole record is widened to the first record's declared
+        length, so an oversized record still ships."""
+        size = max(max_bytes, _PREFIX_LEN)
+        data = self.storage.read_from(offset, size)
+        if len(data) == size and b"\n" not in data:
+            try:
+                size = _PREFIX_LEN + int(data[:8], 16) + 1
+            except ValueError:
+                return data  # a malformed prefix: the parser stops there
+            data = self.storage.read_from(offset, size)
+        return data

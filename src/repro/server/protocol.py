@@ -145,6 +145,7 @@ import json
 from typing import Any, Iterable, Mapping
 
 from repro.io.state_json import decode_value, encode_value
+from repro.relational.tuples import NULL
 
 #: Hard cap on one frame's length in bytes (newline included).  A
 #: JSON-lines protocol has no other framing, so an unbounded line is an
@@ -249,7 +250,7 @@ def encode_row(row: Mapping[str, Any]) -> dict[str, Any]:
 
 def decode_row(row: Mapping[str, Any]) -> dict[str, Any]:
     """Inverse of :func:`encode_row`."""
-    return {k: decode_value(v) for k, v in row.items()}
+    return {k: _decode_scalar(v) for k, v in row.items()}
 
 
 def encode_pk(pk: tuple[Any, ...]) -> list[Any]:
@@ -259,7 +260,21 @@ def encode_pk(pk: tuple[Any, ...]) -> list[Any]:
 
 def decode_pk(pk: Iterable[Any]) -> tuple[Any, ...]:
     """Inverse of :func:`encode_pk`."""
-    return tuple(decode_value(v) for v in pk)
+    return tuple(map(_decode_scalar, pk))
+
+
+def _decode_scalar(value: Any) -> Any:
+    """One wire attribute value: a JSON scalar, or ``NULL`` for its
+    marker.  An array or any other object raises :class:`ProtocolError`
+    (a ``bad-request``), never reaching an index as an unhashable key."""
+    if isinstance(value, (dict, list)):
+        if decode_value(value) is NULL:
+            return NULL
+        raise ProtocolError(
+            "attribute values must be scalars or the null marker, not "
+            f"{value!r:.60}"
+        )
+    return value
 
 
 # -- framing -------------------------------------------------------------------

@@ -1024,10 +1024,10 @@ class DatabaseService:
         probe; everything else takes the applier's validating replay,
         where divergence (a record the primary committed but this
         state rejects) raises :class:`RecoveryError` and the replica
-        loop treats it as fatal.  A bare ``insert_many`` batch record
-        replays through :meth:`Database.insert_many`, whose slotted
-        checker validates the batch in one pass and re-logs it as one
-        record.
+        loop treats it as fatal.  A bare ``insert_many`` or ``batch``
+        record replays through :meth:`Database.insert_many` or
+        :meth:`Database.apply_batch`, whose slotted checker validates
+        the call in one pass and re-logs it as one record.
         """
         applier = self._applier
         if applier is None:

@@ -14,7 +14,9 @@ The oracle applies a committed group's records in order (it has no
 deferred reference checking), so test workloads keep their batches
 order-safe: parents before children, children deleted before parents.
 A columnar ``insert_many`` record is decoded here, by this module's own
-code, and applied row by row.
+code, and applied row by row; a ``batch`` record's entries (insert
+runs in that columnar layout, updates, deletes) are applied in order,
+so its batches must be order-safe too.
 """
 
 from repro.engine.oracle import OracleDatabase
@@ -94,6 +96,10 @@ def _apply(oracle: OracleDatabase, record: dict) -> OracleDatabase:
         )
         merged.load_state(simplified.forward.apply(oracle.state()))
         return merged
+    if record["op"] == "batch":
+        for entry in record["entries"]:
+            oracle = _apply(oracle, entry)
+        return oracle
     if record["op"] == "insert_many":
         for row in _columnar_rows(record):
             oracle.insert(record["scheme"], row)

@@ -590,71 +590,134 @@ def test_slotted_insert_many_matches_dict_row_paths(seed, null_semantics):
 
 # -- slotted versus dict-row differential, with a log attached -----------------
 #
-# With a WAL attached both checkers log an accepted batch as one
-# columnar ``insert_many`` record (and a rejected one not at all); each
-# engine's log must recover to exactly that engine's live state.
+# With a WAL attached both checkers log an accepted bulk call as one
+# record -- ``insert_many`` or ``batch`` -- and a rejected one not at
+# all; each engine's log must recover to exactly that engine's live
+# state.
 
 from repro.engine.recovery import recover_database
 from repro.engine.wal import MemoryStorage, WriteAheadLog, parse_wal
+from repro.obs.trace import RingBufferTracer
+
+
+def _trial_batch(rng, schema, required, db, kinds, names=None):
+    """Ops of the given ``kinds`` (over ``names``, default every scheme)
+    that a trial oracle accepts one after another -- so most batches
+    are accepted -- then sometimes a poison op: an intra-batch
+    duplicate or one unfiltered op."""
+    trial = OracleDatabase(schema, null_semantics=db.null_semantics)
+    trial.load_state(db.state())
+    names = names or list(schema.scheme_names)
+    ops = []
+    for _ in range(rng.randint(1, 16)):
+        name, kind = rng.choice(names), rng.choice(kinds)
+        scheme = schema.scheme(name)
+        live = list(trial._rows[name])
+        if kind == "insert":
+            op = ("insert", name, _random_row(rng, scheme, required[name]))
+        elif not live:
+            continue
+        elif kind == "delete":
+            op = ("delete", name, rng.choice(live))
+        else:
+            updates = {
+                a.name: _random_value(rng, a.name, a.name not in required[name])
+                for a in scheme.attributes
+                if rng.random() < 0.5
+            }
+            op = ("update", name, rng.choice(live), updates)
+        try:
+            getattr(trial, kind)(*_copy_ops([op])[0][1:])
+        except (ConstraintViolationError, KeyError):
+            continue
+        ops.append(op)
+    roll = rng.random()
+    inserts = [op for op in ops if op[0] == "insert"]
+    if roll < 0.15 and inserts:
+        ops.append(rng.choice(inserts))  # an intra-batch duplicate
+    elif roll < 0.3 or not ops:
+        ops += _random_batch(rng, schema, required, trial, n_ops=1)
+    return ops
+
+
+def _copy_ops(ops):
+    """The ops with fresh row dicts (the slotted checker adopts them)."""
+    return [
+        (op[0], op[1], dict(op[2])) if op[0] == "insert" else op for op in ops
+    ]
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     null_semantics=st.sampled_from(["distinct", "identical"]),
+    traced=st.booleans(),
 )
-def test_logged_insert_many_matches_across_checkers_and_recovers(
-    seed, null_semantics
+def test_logged_bulk_calls_match_across_checkers_and_recover(
+    seed, null_semantics, traced
 ):
+    """``insert_many`` and all-insert, all-delete and mixed
+    ``apply_batch`` calls on the slotted and the dict-row checker,
+    each with a log attached and, when ``traced``, a tracer: the same
+    decisions and states, byte-equal logs that recover to those states,
+    and exactly one record and one ``mutation`` event per accepted
+    call."""
     schema = random_schema(PARAMS, seed=seed % 7).schema
-    rng = random.Random(seed * 17 + 3)
+    rng = random.Random(seed * 29 + 11)
+    tracers = [RingBufferTracer(capacity=4096) if traced else None for _ in "ab"]
     engines = [
         Database(
             schema,
             null_semantics=null_semantics,
             wal=WriteAheadLog(MemoryStorage()),
             slotted=slotted,
+            tracer=tracer,
         )
-        for slotted in (True, False)
+        for slotted, tracer in zip((True, False), tracers)
     ]
     fast, slow = engines
     oracle = OracleDatabase(schema, null_semantics=null_semantics)
     required = {s.name: _required_attrs(schema, s.name) for s in schema.schemes}
     _seed_base_state(rng, schema, required, engines, oracle)
 
-    for _ in range(8):
-        name = rng.choice(list(schema.scheme_names))
-        scheme = schema.scheme(name)
-        # Rows a trial oracle accepts one by one (so most batches are
-        # accepted, NULLs included), then sometimes a poison row: an
-        # intra-batch duplicate or an unfiltered random row.
-        trial = OracleDatabase(schema, null_semantics=null_semantics)
-        trial.load_state(fast.state())
-        rows = []
-        for _ in range(rng.randint(1, 30)):
-            row = _random_row(rng, scheme, required[name])
-            try:
-                trial.insert(name, dict(row))
-            except (ConstraintViolationError, KeyError):
-                continue
-            rows.append(row)
+    for _ in range(10):
         roll = rng.random()
-        if roll < 0.2 and rows:
-            rows.append(dict(rng.choice(rows)))
-        elif roll < 0.4 or not rows:
-            rows.append(_random_row(rng, scheme, required[name]))
+        if roll < 0.25:
+            name = rng.choice(list(schema.scheme_names))
+            ops = _trial_batch(rng, schema, required, fast, ["insert"], [name])
+            rows = [op[2] for op in ops if op[:2] == ("insert", name)]
+            kind, n = "insert_many", len(rows)
+
+            def call(db):
+                return db.insert_many(name, [dict(r) for r in rows])
+
+        else:
+            kinds = (
+                ["insert"] if roll < 0.5
+                else ["delete"] if roll < 0.75
+                else ["insert", "update", "delete"]
+            )
+            ops = _trial_batch(rng, schema, required, fast, kinds)
+            kind, n = "batch", len(ops)
+
+            def call(db):
+                return db.apply_batch(_copy_ops(ops))
+
         lsns = [db.wal.next_lsn for db in engines]
-        ok = _apply_both(
-            lambda: fast.insert_many(name, [dict(r) for r in rows]),
-            lambda: slow.insert_many(name, [dict(r) for r in rows]),
-        )
+        for tracer in tracers:
+            if tracer is not None:
+                tracer.clear()
+        ok = _apply_both(lambda: call(fast), lambda: call(slow))
         assert fast.state() == slow.state()
         for db, lsn in zip(engines, lsns):
-            assert db.wal.next_lsn - lsn == (1 if ok else 0)
-            if ok:
-                last = parse_wal(db.wal.storage.read()).records[-1]
-                assert last["op"] == "insert_many"
+            assert db.wal.next_lsn - lsn == (1 if ok and n else 0)
+            if ok and n:
+                assert parse_wal(db.wal.storage.read()).records[-1]["op"] == kind
+        for tracer in tracers:
+            if tracer is not None:
+                assert len(tracer.find("mutation")) == (1 if ok else 0)
 
+    assert fast.wal.storage.read() == slow.wal.storage.read()
     for db in engines:
         recovered = recover_database(
             schema,

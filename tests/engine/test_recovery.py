@@ -51,9 +51,11 @@ def _mutation_script(db: Database) -> None:
     """A deterministic workload covering every logged mutation path:
     bare inserts/updates/deletes, an explicit transaction (holding an
     ``insert_many`` record), a rejected op (never logged),
-    ``insert_many``, ``apply_batch``, an aborted transaction, a
-    checkpoint, post-checkpoint mutations, a nested transaction with an
-    inner rollback, and an online merge followed by an ``insert_many``
+    ``insert_many``, a mixed ``apply_batch``, an aborted transaction, a
+    checkpoint, post-checkpoint mutations, an all-insert and an
+    all-delete ``apply_batch``, a batch inside a transaction, a nested
+    transaction with an inner rollback, and an online merge followed by
+    an ``insert_many``
     whose rows carry ``NULL`` in the merged scheme's nullable columns
     and reference rows stored earlier.
 
@@ -97,6 +99,20 @@ def _mutation_script(db: Database) -> None:
     db.insert("PERSON", {"P.SSN": "s4"})
     db.delete("COURSE", ("m1",))
     db.update("OFFER", ("c1",), {"O.D.NAME": "cs"})
+    # An all-insert and an all-delete batch: the slotted checker runs
+    # with the log attached, and each logs one ``batch`` record.
+    db.apply_batch(
+        [
+            ("insert", "COURSE", {"C.NR": "b0"}),
+            ("insert", "COURSE", {"C.NR": "b1"}),
+            ("insert", "OFFER", {"O.C.NR": "b0", "O.D.NAME": "math"}),
+        ]
+    )
+    db.apply_batch([("delete", "OFFER", ("b0",)), ("delete", "COURSE", ("b0",))])
+    with db.transaction():  # a batch record inside a caller's bracket
+        db.apply_batch(
+            [("insert", "COURSE", {"C.NR": "b2"}), ("delete", "COURSE", ("b1",))]
+        )
     with db.transaction():
         db.insert("COURSE", {"C.NR": "c9"})
         try:

@@ -19,6 +19,7 @@ from repro.engine.wal import (
     WAL_VERSION,
     WalError,
     WriteAheadLog,
+    batch_record,
     decode_batch_op,
     decode_batch_ops,
     decode_insert_many,
@@ -29,6 +30,7 @@ from repro.engine.wal import (
     parse_wal,
     update_record,
 )
+from repro.obs.trace import RingBufferTracer
 from repro.relational.tuples import NULL
 from repro.workloads.university import university_relational
 
@@ -89,6 +91,28 @@ GOLDEN_RECORDS = [
     (
         {"op": "rollback", "txn": 3, "to_lsn": 9, "lsn": 10},
         b'0000002d 300b4e4b {"lsn":10,"op":"rollback","to_lsn":9,"txn":3}\n',
+    ),
+    (
+        dict(
+            batch_record(
+                [
+                    ("insert", "COURSE", {"C.NR": "c1"}),
+                    ("insert", "COURSE", {"C.NR": "c2"}),
+                    ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": NULL}),
+                    ("update", "OFFER", "c1", {"O.D.NAME": "cs"}),
+                    ("delete", "COURSE", ("c2",)),
+                ],
+                {"COURSE": ["C.NR"], "OFFER": ["O.D.NAME", "O.C.NR"]}.get,
+            ),
+            lsn=12,
+        ),
+        b'00000166 594426a8 {"entries":[{"attrs":["C.NR"],'
+        b'"cols":[["c1","c2"]],"nulls":{},"op":"insert_many",'
+        b'"scheme":"COURSE"},{"attrs":["O.C.NR","O.D.NAME"],'
+        b'"cols":[["c1"],[null]],"nulls":{"O.D.NAME":[0]},'
+        b'"op":"insert_many","scheme":"OFFER"},{"op":"update","pk":["c1"],'
+        b'"scheme":"OFFER","updates":{"O.D.NAME":"cs"}},{"op":"delete",'
+        b'"pk":["c2"],"scheme":"COURSE"}],"lsn":12,"op":"batch"}\n',
     ),
 ]
 
@@ -159,6 +183,19 @@ def test_decode_batch_ops_wraps_single_op_records():
     assert decode_batch_ops(record) == [("delete", "OFFER", ("c1",))]
 
 
+def test_decode_batch_ops_flattens_a_batch_record_in_op_order():
+    """Insert runs come back one op per row, NULL restored, between the
+    update and delete entries they were logged among."""
+    record = parse_wal(GOLDEN_RECORDS[-1][1]).records[0]
+    assert decode_batch_ops(record) == [
+        ("insert", "COURSE", {"C.NR": "c1"}),
+        ("insert", "COURSE", {"C.NR": "c2"}),
+        ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": NULL}),
+        ("update", "OFFER", ("c1",), {"O.D.NAME": "cs"}),
+        ("delete", "COURSE", ("c2",)),
+    ]
+
+
 def _ops_after_header(db: Database) -> list[str]:
     return [r["op"] for r in parse_wal(db.wal.storage.read()).records[1:]]
 
@@ -196,6 +233,47 @@ def test_insert_many_writes_exactly_one_record(slotted):
         "insert_many",
         "commit",
     ]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("slotted", [True, False])
+def test_apply_batch_writes_exactly_one_record(slotted, traced):
+    tracer = RingBufferTracer() if traced else None
+    db = Database(
+        university_relational(),
+        wal=WriteAheadLog(MemoryStorage()),
+        slotted=slotted,
+        tracer=tracer,
+    )
+    courses = [("insert", "COURSE", {"C.NR": f"c{i}"}) for i in range(4)]
+    checks = db.stats.constraint_checks
+    db.apply_batch(courses)
+    # Neither the log nor the tracer sends an all-insert batch down the
+    # row path: only ``slotted`` picks the checker.
+    assert (db.stats.constraint_checks == checks) is slotted
+    db.apply_batch([("delete", "COURSE", "c3"), ("delete", "COURSE", "c2")])
+    db.apply_batch(
+        [
+            ("insert", "DEPARTMENT", {"D.NAME": "cs"}),
+            ("insert", "OFFER", {"O.C.NR": "c0", "O.D.NAME": "cs"}),
+            ("update", "OFFER", "c0", {"O.D.NAME": "cs"}),
+        ]
+    )
+    assert _ops_after_header(db) == ["batch"] * 3
+    # A rejected batch (a restricted delete) and an empty one log
+    # nothing.
+    with pytest.raises(ConstraintViolationError):
+        db.apply_batch([("delete", "COURSE", "c0")])
+    assert db.apply_batch([]) == []
+    assert _ops_after_header(db) == ["batch"] * 3
+    # Inside a caller's transaction the record sits in its bracket.
+    with db.transaction():
+        db.apply_batch([("delete", "OFFER", "c0")])
+    assert _ops_after_header(db)[3:] == ["begin", "batch", "commit"]
+    if traced:
+        events = [e.event for e in tracer.events]
+        assert events.count("mutation") == 5  # four accepted, one empty
+        assert events.count("wal") == 4
 
 
 # -- parsing -------------------------------------------------------------------

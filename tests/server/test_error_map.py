@@ -1,8 +1,8 @@
 """One bad input, one error frame, whichever verb carries it.
 
 The service maps engine and protocol exceptions to typed error frames
-on four paths: the inline read path, a single mutation verb, an
-``apply_batch`` op, and a ``batch_prepare`` op.  This table pins that
+on five paths: the inline read path, a single mutation verb, an
+``insert_many`` row, an ``apply_batch`` op, and a ``batch_prepare`` op.  This table pins that
 the frame's ``type``/``kind``/``rule``/``worker`` do not depend on the
 path, so a client (or the shard router) can classify a rejection
 without knowing how it was sent.
@@ -14,7 +14,10 @@ worker 0 of a two-worker fleet:
 * a malformed op;
 * an unknown scheme;
 * a key-based inclusion dependency violation;
-* a Section 3 null-existence violation.
+* a Section 3 null-existence violation;
+* a non-scalar attribute value or key component (a JSON array, or an
+  object other than the null marker), which must be a ``bad-request``
+  and never reach an index as an unhashable key.
 
 A prepare cannot reject an inclusion dependency on its own -- the
 referenced row may live on another shard -- so it reports the same
@@ -42,12 +45,17 @@ MERGED = "COURSE''"
 N_SHARDS = 2
 
 
+def _routed(scheme: str, shard: int, make) -> object:
+    """The first ``make(i)`` key value that ``scheme`` routes to ``shard``."""
+    i = 0
+    while shard_of(scheme, [make(i)], N_SHARDS) != shard:
+        i += 1
+    return make(i)
+
+
 def _key(scheme: str, shard: int, prefix: str) -> str:
     """The first ``<prefix><i>`` key that ``scheme`` routes to ``shard``."""
-    i = 0
-    while shard_of(scheme, [f"{prefix}{i}"], N_SHARDS) != shard:
-        i += 1
-    return f"{prefix}{i}"
+    return _routed(scheme, shard, lambda i: f"{prefix}{i}")
 
 
 FACULTY = _key("FACULTY", 0, "f")
@@ -55,6 +63,8 @@ DEPARTMENT = _key("DEPARTMENT", 0, "d")
 LOCAL = _key(MERGED, 0, "c")
 FOREIGN = _key(MERGED, 1, "c")
 UNKNOWN = _key("NOPE", 0, "n")
+LIST_KEY = _routed(MERGED, 0, lambda i: [f"c{i}"])
+OBJECT_KEY = _routed(MERGED, 0, lambda i: {"nr": f"c{i}"})
 
 
 def _row(**values) -> dict:
@@ -71,6 +81,10 @@ INSERTS = {
     "unknown-scheme": ("NOPE", {"x": 1}),
     "ind-violation": (MERGED, _row(**{"C.NR": LOCAL, "O.D.NAME": "ghost"})),
     "null-existence": (MERGED, _row(**{"C.NR": LOCAL, "T.F.SSN": FACULTY})),
+    "list-value": (MERGED, _row(**{"C.NR": LOCAL, "O.D.NAME": [DEPARTMENT]})),
+    "object-value": (MERGED, _row(**{"C.NR": LOCAL, "O.D.NAME": {"$null": False}})),
+    "list-key": (MERGED, _row(**{"C.NR": LIST_KEY})),
+    "object-key": (MERGED, _row(**{"C.NR": OBJECT_KEY})),
 }
 
 #: What each input's frame must carry, on every mutation path.
@@ -88,6 +102,10 @@ EXPECTED = {
         "rule": "Section 3 (null-existence Y |-> Z); "
         "Definition 4.1 steps 3(c)/3(e)",
     },
+    "list-value": {"type": "bad-request"},
+    "object-value": {"type": "bad-request"},
+    "list-key": {"type": "bad-request"},
+    "object-key": {"type": "bad-request"},
 }
 
 #: Reads hit the shard check, parameter decoding and scheme lookup.
@@ -98,6 +116,11 @@ READS = {
     ),
     "malformed-op": ({"scheme": MERGED, "pk": "x"}, {"type": "bad-request"}),
     "unknown-scheme": ({"scheme": "NOPE", "pk": [UNKNOWN]}, {"type": "not-found"}),
+    "list-key": ({"scheme": MERGED, "pk": [LIST_KEY]}, {"type": "bad-request"}),
+    "object-key": (
+        {"scheme": MERGED, "pk": [OBJECT_KEY]},
+        {"type": "bad-request"},
+    ),
 }
 
 
@@ -166,15 +189,17 @@ def _run(requests: list[dict]) -> list[dict]:
 def test_mutation_paths_share_one_error_map(name):
     scheme, row = INSERTS[name]
     op = ["insert", scheme, row] if isinstance(row, dict) else ["insert", scheme]
-    single, batch, prepare = _run(
+    single, many, batch, prepare = _run(
         [
             {"verb": "insert", "scheme": scheme, "row": row},
+            {"verb": "insert_many", "scheme": scheme, "rows": [row]},
             {"verb": "apply_batch", "ops": [op]},
             {"verb": "batch_prepare", "xid": "x1", "ops": [op]},
         ]
     )
     got = _classify(single)
     assert {k: got.get(k) for k in EXPECTED[name]} == EXPECTED[name]
+    assert _classify(many) == got
     assert _classify(batch) == got
     if name == "ind-violation":
         # The referenced row could live on another shard: the prepare

@@ -166,6 +166,56 @@ def test_cursor_polls_stay_under_the_byte_budget():
     assert record["lsn"] == 2
 
 
+def test_cursor_catch_up_reads_the_backlog_once():
+    """A poll reads about its byte budget past the cursor, not the whole
+    tail: draining a backlog reads at most the backlog plus one budget
+    (reading the tail on every poll would be quadratic in it)."""
+    storage = MemoryStorage()
+    wal = WriteAheadLog(storage)
+    for b in range(400):
+        rows = [{"C.NR": f"b{b}-{i:04d}"} for i in range(100)]
+        wal.append(insert_many_record("COURSE", ["C.NR"], rows))
+    wal.sync()
+    backlog = storage.size()
+    read_bytes = []
+    read_from = storage.read_from
+
+    def counted(offset, *limit):
+        data = read_from(offset, *limit)
+        read_bytes.append(len(data))
+        return data
+
+    storage.read_from = counted
+    budget = 64 * 1024
+    cursor = WalCursor(storage)
+    shipped: list[int] = []
+    while True:
+        records = cursor.read_after(
+            shipped[-1] if shipped else 0, wal.durable_lsn, max_bytes=budget
+        )
+        if not records:
+            break
+        shipped.extend(r["lsn"] for r in records)
+    assert shipped == list(range(2, 402))
+    assert len(read_bytes) >= backlog // budget  # the budget bounds a poll
+    assert sum(read_bytes) <= backlog + budget
+
+
+def test_cursor_widens_its_window_for_an_oversized_first_record():
+    """A record larger than the poll budget still ships whole, and the
+    records after it follow on later polls."""
+    wal = WriteAheadLog(MemoryStorage())
+    big = [{"C.NR": f"big-{i:04d}"} for i in range(500)]
+    wal.append(insert_many_record("COURSE", ["C.NR"], big))
+    wal.append(insert_record("COURSE", {"C.NR": "after"}))
+    wal.sync()
+    cursor = WalCursor(wal.storage)
+    (first,) = cursor.read_after(0, wal.durable_lsn, max_bytes=64)
+    assert first["lsn"] == 2 and len(first["cols"][0]) == 500
+    (second,) = cursor.read_after(2, wal.durable_lsn, max_bytes=64)
+    assert second["row"] == {"C.NR": "after"}
+
+
 def test_default_poll_budget_is_below_the_frame_limit():
     from repro.server.protocol import MAX_FRAME_BYTES
 
